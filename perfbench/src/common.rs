@@ -42,8 +42,6 @@ pub enum Workload {
     Interactive,
     /// 64 analysts in flight, closed loop, tick-fused service.
     Serve,
-    /// The offline phase: contexts, task generation, meta-training.
-    Offline,
 }
 
 /// Parsed command line.
@@ -63,7 +61,7 @@ pub struct Args {
 
 impl Args {
     /// One-line usage.
-    pub const USAGE: &'static str = "usage: perfbench --workload <interactive|serve|offline> \
+    pub const USAGE: &'static str = "usage: perfbench --workload <interactive|serve> \
                                      --seed <n> --seconds <s> --trace <0|1> [--smoke]";
 
     /// Parse the arguments after the program name.
@@ -81,7 +79,6 @@ impl Args {
                     workload = Some(match value.as_str() {
                         "interactive" => Workload::Interactive,
                         "serve" => Workload::Serve,
-                        "offline" => Workload::Offline,
                         other => return Err(format!("unknown workload {other:?}")),
                     })
                 }
@@ -128,23 +125,18 @@ impl Args {
 pub struct Scale {
     /// SDSS rows generated.
     pub table_rows: usize,
-    /// Retrieval-pool rows of `interactive` and of `offline`'s evaluation.
+    /// Retrieval-pool rows of `interactive`.
     pub interactive_pool: usize,
     /// Shared retrieval-pool rows of `serve`.
     pub serve_pool: usize,
     /// Analysts in flight on `serve` (also the admission capacity).
     pub analysts: usize,
-    /// Distinct session requests; `mean_f1` averages over them.
+    /// Distinct session requests, submitted in turn; `mean_f1` averages
+    /// over them.
     pub distinct: usize,
-    /// Distinct requests timed: after one pass over every distinct
-    /// request, sessions cycle through the first `timed` of them, so that
-    /// each runs many times (see [`Latencies`]).
-    pub timed: usize,
-    /// Meta-tasks and epochs of the light pipeline online workloads train
-    /// in set-up (per-round cost depends on the shapes, not the training).
+    /// Meta-tasks and epochs of the light pipeline the workloads train in
+    /// set-up (per-round cost depends on the shapes, not the training).
     pub light_train: (usize, usize),
-    /// Meta-tasks and epochs of one `offline` run.
-    pub offline_train: (usize, usize),
 }
 
 impl Scale {
@@ -155,9 +147,7 @@ impl Scale {
         serve_pool: 20_000,
         analysts: 64,
         distinct: 256,
-        timed: 50,
         light_train: (30, 1),
-        offline_train: (100, 2),
     };
 
     /// A scale that runs every path in about a second.
@@ -167,9 +157,7 @@ impl Scale {
         serve_pool: 2_000,
         analysts: 8,
         distinct: 8,
-        timed: 4,
         light_train: (20, 1),
-        offline_train: (20, 1),
     };
 }
 
@@ -230,8 +218,6 @@ pub struct OnlineSetup {
     pub pool: Vec<Vec<f64>>,
     /// The distinct session requests.
     pub requests: Vec<SessionRequest>,
-    /// How many of them the timed sessions cycle through.
-    pub timed: usize,
 }
 
 impl OnlineSetup {
@@ -257,13 +243,11 @@ impl OnlineSetup {
             offline_s,
             pool,
             requests,
-            timed: scale.timed,
         }
     }
 
     /// The request submitted as the `k`-th session overall, tagged with
-    /// `k`: every distinct request once (`mean_f1` averages over these),
-    /// then the first [`Scale::timed`] of them in turn.
+    /// `k`: the distinct requests in turn.
     pub fn request(&self, k: u64) -> SessionRequest {
         let mut req = self.requests[self.index(k)].clone();
         req.id = k;
@@ -272,35 +256,41 @@ impl OnlineSetup {
 
     /// Which distinct request session `k` runs.
     pub fn index(&self, k: u64) -> usize {
-        let distinct = self.requests.len() as u64;
-        let i = if k < distinct {
-            k
-        } else {
-            (k - distinct) % self.timed as u64
-        };
-        i as usize
+        (k % self.requests.len() as u64) as usize
     }
 
-    /// Whether session `k` is timed: it runs after the first pass.
+    /// Whether session `k` is timed: it runs after the first pass over
+    /// every distinct request, which warms up the loop.
     pub fn timed(&self, k: u64) -> bool {
         k >= self.requests.len() as u64
     }
+
+    /// Whether a run that has completed `sessions` sessions has done its
+    /// minimum: one untimed and one timed pass over the distinct requests.
+    pub fn minimum_done(&self, sessions: usize) -> bool {
+        sessions >= 2 * self.requests.len()
+    }
 }
 
-/// Seconds measured between two set-ups.
-const SETUP_EVERY: f64 = 1.0;
+/// Seconds measured between two set-ups: about 20 set-ups in a run, at
+/// an eighth of its time or less.
+const SETUP_EVERY: f64 = 2.0;
 
 /// Set-ups repeated across a run: one before measuring, then one every
-/// [`SETUP_EVERY`] seconds. Spread over the run, they meet the host's
-/// quiet phases as the sessions do (see [`Latencies`]).
+/// [`SETUP_EVERY`] seconds, while the first is still in use. Spread over
+/// the run, they see the host as the sessions do; their median is
+/// reported.
 #[derive(Debug)]
 pub struct Setups {
     /// Whole set-up, per repetition.
     pub setup_s: Vec<f64>,
-    /// Its `LtePipeline::offline` call, per repetition (online set-ups).
+    /// Its `LtePipeline::offline` call, per repetition.
     pub offline_s: Vec<f64>,
     losses: Option<Vec<u64>>,
     last: Instant,
+    /// Peak RSS (MB) just before the first repeated set-up, which would
+    /// otherwise add a second pipeline and pool to the figure.
+    peak_rss_mb: Option<f64>,
 }
 
 impl Setups {
@@ -311,6 +301,7 @@ impl Setups {
             offline_s: Vec::new(),
             losses: None,
             last: Instant::now(),
+            peak_rss_mb: None,
         }
     }
 
@@ -319,8 +310,17 @@ impl Setups {
         self.last.elapsed().as_secs_f64() >= SETUP_EVERY
     }
 
+    /// Peak RSS (MB) of one set-up and the measured work on it: read
+    /// before the first repetition, or now if none has run.
+    pub fn peak_rss_mb(&self) -> f64 {
+        self.peak_rss_mb.unwrap_or_else(peak_rss_mb)
+    }
+
     /// Time one set-up.
     pub fn time<T>(&mut self, build: impl FnOnce() -> T) -> T {
+        if !self.setup_s.is_empty() && self.peak_rss_mb.is_none() {
+            self.peak_rss_mb = Some(peak_rss_mb());
+        }
         let t0 = Instant::now();
         let built = build();
         self.setup_s.push(t0.elapsed().as_secs_f64());
@@ -346,46 +346,14 @@ impl Setups {
     }
 }
 
-/// Every timed session's latency, kept by the distinct request it ran.
-///
-/// On a shared host, neighbouring tenants slow this process in phases of
-/// a second or more that cost up to 1.7×, and some runs see few quiet
-/// phases. Each timed request runs many times over a run, at moments
-/// seconds apart, and its quietest run ([`Latencies::quiet`]) measures the
-/// program rather than its neighbours.
-#[derive(Debug)]
+/// The timed sessions: every one's latency, and the wall time in which
+/// they completed, set-ups left out.
+#[derive(Debug, Default)]
 pub struct Latencies {
-    runs: Vec<Vec<f64>>,
-}
-
-impl Latencies {
-    /// No session yet, of `distinct` requests.
-    pub fn new(distinct: usize) -> Self {
-        Self {
-            runs: vec![Vec::new(); distinct],
-        }
-    }
-
-    /// Record one session of distinct request `index` (seconds).
-    pub fn record(&mut self, index: usize, secs: f64) {
-        self.runs[index].push(secs);
-    }
-
-    /// Sessions recorded.
-    pub fn sessions(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
-    }
-
-    /// The quietest latency of each request that ran.
-    pub fn quiet(&self) -> Vec<f64> {
-        self.runs.iter().filter_map(|r| fastest(r)).collect()
-    }
-}
-
-/// The least of repeated timings, the one the host's neighbours slowed
-/// least (`None` when there are none).
-pub fn fastest(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().min_by(f64::total_cmp)
+    /// Latency of each timed session, in seconds.
+    pub secs: Vec<f64>,
+    /// Wall seconds of the timed part of the run.
+    pub wall: f64,
 }
 
 /// Mean of a pipeline's per-subspace final query losses.
@@ -857,45 +825,43 @@ pub struct Run {
 }
 
 impl Run {
-    /// The end-to-end metrics shared by every workload. Session latency
-    /// is each timed request's quietest run ([`Latencies`]), and
-    /// `sessions_per_s` follows from it by Little's law for a closed loop:
-    /// `in_flight` sessions over the mean latency. `offline_s` and
-    /// `setup_s` hold each repetition's seconds and report the fastest.
-    #[allow(clippy::too_many_arguments)]
+    /// The end-to-end metrics shared by every workload. The session
+    /// metrics cover every timed session: `sessions_per_s` is how many
+    /// completed over the timed wall time. `offline_s` and `setup_s` report
+    /// the median repetition.
     pub fn end_to_end(
         ledger: Ledger,
         latencies: &Latencies,
-        in_flight: usize,
         mean_f1: f64,
-        offline_s: &[f64],
+        setups: &Setups,
         final_query_loss: f64,
-        setup_s: &[f64],
         mut settings: Vec<(&'static str, String)>,
     ) -> Self {
-        let quiet = latencies.quiet();
-        let (tail_p, tail_v) = tail(&quiet);
+        let sessions = &latencies.secs;
+        let (tail_p, tail_v) = tail(sessions);
         settings.extend([
-            ("sessions", latencies.sessions().to_string()),
-            ("session_samples", quiet.len().to_string()),
+            ("timed_sessions", sessions.len().to_string()),
+            ("timed_wall_s", latencies.wall.to_string()),
             ("session_tail_percentile", format!("p{tail_p}")),
-            ("offline_reps", offline_s.len().to_string()),
-            ("setup_reps", setup_s.len().to_string()),
+            ("setup_reps", setups.setup_s.len().to_string()),
         ]);
         let m = |name, value, unit| Metric { name, value, unit };
-        let least = |xs: &[f64]| fastest(xs).unwrap_or(0.0);
         Self {
             attempted: ledger.attempted,
             failed: ledger.failed,
             metrics: vec![
-                m("sessions_per_s", in_flight as f64 / mean(&quiet), "1/s"),
-                m("session_p50_ms", median(&quiet) * 1e3, "ms"),
+                m(
+                    "sessions_per_s",
+                    sessions.len() as f64 / latencies.wall,
+                    "1/s",
+                ),
+                m("session_p50_ms", median(sessions) * 1e3, "ms"),
                 m("session_tail_ms", tail_v * 1e3, "ms"),
                 m("mean_f1", mean_f1, "ratio"),
-                m("offline_s", least(offline_s), "s"),
+                m("offline_s", median(&setups.offline_s), "s"),
                 m("final_query_loss", final_query_loss, "nats"),
-                m("setup_s", least(setup_s), "s"),
-                m("peak_rss_mb", peak_rss_mb(), "MB"),
+                m("setup_s", median(&setups.setup_s), "s"),
+                m("peak_rss_mb", setups.peak_rss_mb(), "MB"),
             ],
             settings,
         }

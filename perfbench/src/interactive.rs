@@ -40,32 +40,31 @@ pub fn run(args: &Args) -> Run {
     let setup = setups.online(&mut ledger, build, |s| s);
     let engine = SessionEngine::with_workers(Arc::clone(&setup.pipeline), 1);
     let budget = setup.pipeline.config().budget();
-    let distinct = setup.requests.len();
-    let mut firsts = vec![None; distinct];
-    let mut latencies = Latencies::new(scale.timed);
+    let mut firsts = vec![None; setup.requests.len()];
+    let mut latencies = Latencies::default();
     let start = Instant::now();
     let mut k = 0u64;
-    while k < (distinct + scale.timed) as u64 || start.elapsed().as_secs_f64() < args.seconds {
+    while !setup.minimum_done(k as usize) || start.elapsed().as_secs_f64() < args.seconds {
         if setups.due() {
             drop(setups.online(&mut ledger, build, |s| s));
         }
         let req = setup.request(k);
         let t0 = Instant::now();
         let done = engine.run_sessions(vec![req], &setup.pool);
-        if setup.timed(k) {
-            latencies.record(setup.index(k), t0.elapsed().as_secs_f64());
-        }
+        let latency = t0.elapsed().as_secs_f64();
         ledger.check_session(&mut firsts, setup.index(k), k, &done[0].outcome, budget);
+        if setup.timed(k) {
+            latencies.secs.push(latency);
+            latencies.wall += t0.elapsed().as_secs_f64();
+        }
         k += 1;
     }
     Run::end_to_end(
         ledger,
         &latencies,
-        1,
         mean_f1(&firsts),
-        &setups.offline_s,
+        &setups,
         mean_loss(&setup.report),
-        &setups.setup_s,
         settings,
     )
 }

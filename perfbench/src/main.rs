@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload <interactive|serve|offline> --seed <n> --seconds <s> --trace <0|1> [--smoke]
+//!     --workload <interactive|serve> --seed <n> --seconds <s> --trace <0|1> [--smoke]
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics with no timing inside the
@@ -14,7 +14,6 @@
 
 mod common;
 mod interactive;
-mod offline;
 mod serve;
 
 use common::{Args, Run, Workload};
@@ -31,7 +30,6 @@ fn main() {
     let run: Run = match args.workload {
         Workload::Interactive => interactive::run(&args),
         Workload::Serve => serve::run(&args),
-        Workload::Offline => offline::run(&args),
     };
     println!("{}", run.settings_json(&args));
     println!("{}", run.result_json());

@@ -52,16 +52,14 @@ pub fn run(args: &Args) -> Run {
     let budget = setup.pipeline.config().budget();
     let distinct = setup.requests.len();
     let mut firsts = vec![None; distinct];
-    let mut latencies = Latencies::new(scale.timed);
     // Between ticks, set up again when due; the checks of the set-up
     // go to their own ledger, merged after the closed loop.
     let mut setup_ledger = Ledger::default();
-    drive(
+    let drove = drive(
         &mut [&mut service],
         &setup,
         scale.analysts,
         args.seconds,
-        &mut latencies,
         |_, k, o| ledger.check_session(&mut firsts, setup.index(k), k, o, budget),
         || {
             if setups.due() {
@@ -87,12 +85,10 @@ pub fn run(args: &Args) -> Run {
 
     Run::end_to_end(
         ledger,
-        &latencies,
-        scale.analysts,
+        &drove.latencies,
         mean_f1(&firsts),
-        &setups.offline_s,
+        &setups,
         mean_loss(&setup.report),
-        &setups.setup_s,
         settings,
     )
 }
@@ -100,7 +96,10 @@ pub fn run(args: &Args) -> Run {
 /// The traced run: replay the offline phase and the pool encoding through
 /// the layers' public calls, then tick the service (untraced) and its
 /// replay in lock step on the same submissions, checking that every
-/// session completes in the same tick with the same outputs.
+/// session completes in the same tick with the same outputs. The
+/// untraced wall time counts the set-up's offline phase, one untraced
+/// encoding of the pool (the service encodes it in its warm-up) and the
+/// service's ticks.
 fn traced(
     args: &Args,
     setup: OnlineSetup,
@@ -121,6 +120,9 @@ fn traced(
         bits(&losses) == bits(&setup.report.final_query_loss),
         || "offline replay changed the final query loss".into(),
     );
+    let t0 = Instant::now();
+    drop(setup.pipeline.encode_pool(&setup.pool));
+    let untraced_encode = t0.elapsed().as_secs_f64();
 
     let analysts = args.scale().analysts;
     let workers = service.inner.workers();
@@ -131,7 +133,6 @@ fn traced(
         &setup,
         analysts,
         args.seconds,
-        &mut Latencies::new(setup.timed),
         |e, k, o| done[e].push((k, digest(o))),
         || {},
     );
@@ -151,7 +152,7 @@ fn traced(
     let mut trace = replay.trace;
     let [served, replayed_ticks] = drove.ticks;
     trace.replay_wall = setup_replay + replayed_ticks.iter().sum::<f64>();
-    trace.untraced_wall = setup.offline_s + served.iter().sum::<f64>();
+    trace.untraced_wall = setup.offline_s + untraced_encode + served.iter().sum::<f64>();
     trace.ticks = served;
     trace.admission_wait = drove.waits;
     trace.peak_parked = service.inner.peak_parked();
@@ -224,23 +225,25 @@ struct Drive<const N: usize> {
     /// Submission to start of the admitting tick, per session of the
     /// first engine (seconds).
     waits: Vec<f64>,
+    /// The first engine's sessions completed after the first pass, and
+    /// the wall time from the end of the tick that completed that pass.
+    latencies: Latencies,
 }
 
 /// The closed loop: `analysts` sessions in flight, each completion
 /// followed by that analyst's next submission, until `seconds` have
-/// passed and every distinct request, then one cycle of the timed ones,
-/// has completed. Several engines run
-/// in lock step on the same submissions, each ticking in turn; the first
-/// engine's completions drive the loop and their latencies go into
-/// `latencies`. `on_done` sees each engine's completed sessions (engine,
-/// request number, outcome) in completion order. `pause` runs between
-/// ticks; its time is left out of every latency.
+/// passed and two passes over the distinct requests have completed.
+/// Several engines run in lock step on the same submissions, each ticking
+/// in turn; the first engine's completions drive the loop, and those after
+/// the first pass are timed. `on_done` sees each engine's completed
+/// sessions (engine, request number, outcome) in completion order. `pause`
+/// runs between ticks; its time is left out of every latency and of the
+/// timed wall time.
 fn drive<const N: usize>(
     engines: &mut [&mut dyn TickEngine; N],
     setup: &OnlineSetup,
     analysts: usize,
     seconds: f64,
-    latencies: &mut Latencies,
     mut on_done: impl FnMut(usize, u64, &UirOutcome),
     mut pause: impl FnMut(),
 ) -> Drive<N> {
@@ -264,9 +267,11 @@ fn drive<const N: usize>(
     }
     let mut ticks: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
     let (mut waits, mut starts, mut completed) = (Vec::new(), Vec::new(), 0);
+    let mut latencies = Latencies::default();
+    // When the timed part began, and how long the loop had paused by then.
+    let mut window: Option<(Instant, Duration)> = None;
     let start = Instant::now();
-    while completed < setup.requests.len() + setup.timed || start.elapsed().as_secs_f64() < seconds
-    {
+    while !setup.minimum_done(completed) || start.elapsed().as_secs_f64() < seconds {
         let mut first = (start, Vec::new());
         for (e, engine) in engines.iter_mut().enumerate() {
             let t0 = Instant::now();
@@ -290,9 +295,9 @@ fn drive<const N: usize>(
         completed += done.len();
         for (id, admitted_tick) in done {
             let (at, paused_then) = submitted[id as usize];
-            if setup.timed(id) {
+            if window.is_some() {
                 let latency = end - at - (paused - paused_then);
-                latencies.record(setup.index(id), latency.as_secs_f64());
+                latencies.secs.push(latency.as_secs_f64());
             }
             waits.push(
                 starts[admitted_tick as usize]
@@ -301,11 +306,22 @@ fn drive<const N: usize>(
             );
             submit(engines, &mut submitted, paused);
         }
+        match window {
+            Some((from, paused_then)) => {
+                latencies.wall = (end - from - (paused - paused_then)).as_secs_f64();
+            }
+            None if completed >= setup.requests.len() => window = Some((end, paused)),
+            None => {}
+        }
         let t0 = Instant::now();
         pause();
         paused += t0.elapsed();
     }
-    Drive { ticks, waits }
+    Drive {
+        ticks,
+        waits,
+        latencies,
+    }
 }
 
 /// A session in flight in the replay.
