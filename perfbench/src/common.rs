@@ -329,16 +329,21 @@ impl Setups {
     }
 
     /// Time one online set-up, and check that it reproduces the first
-    /// one's offline losses bit for bit.
+    /// one's offline losses bit for bit. `scale` turns its times into
+    /// times at the reference speed (see [`Speed`]).
     pub fn online<T>(
         &mut self,
         ledger: &mut Ledger,
+        scale: f64,
         build: impl FnOnce() -> T,
         online: impl Fn(&T) -> &OnlineSetup,
     ) -> T {
         let built = self.time(build);
+        if let Some(last) = self.setup_s.last_mut() {
+            *last *= scale;
+        }
         let s = online(&built);
-        self.offline_s.push(s.offline_s);
+        self.offline_s.push(s.offline_s * scale);
         let losses = bits(&s.report.final_query_loss);
         let want = self.losses.get_or_insert_with(|| losses.clone());
         ledger.check(losses == *want, || "set-up is not reproducible".into());
@@ -347,13 +352,91 @@ impl Setups {
 }
 
 /// The timed sessions: every one's latency, and the wall time in which
-/// they completed, set-ups left out.
+/// they completed, set-ups left out, both at the reference speed (see
+/// [`Speed`]).
 #[derive(Debug, Default)]
 pub struct Latencies {
     /// Latency of each timed session, in seconds.
     pub secs: Vec<f64>,
     /// Wall seconds of the timed part of the run.
     pub wall: f64,
+    /// Latency of each timed session as the wall clock read it, unscaled.
+    pub raw: Vec<f64>,
+}
+
+/// Seconds [`reference_work`] takes at the reference speed.
+pub const REFERENCE_S: f64 = 5e-4;
+
+/// Samples of [`reference_work`] that [`Speed::scale`] takes the median of.
+const SPEED_WINDOW: usize = 16;
+
+/// The speed the host gives the benchmark now. A shared host runs the
+/// benchmark's vCPUs slower for seconds to minutes at a time (other guests
+/// on the same cores, clock frequency), with no steal time to show for it,
+/// and every wall-clock timing follows. Timing a fixed piece of the
+/// benchmark's own arithmetic between sessions tracks that speed; a timing
+/// times [`REFERENCE_S`] over the work's recent median is the time at the
+/// reference speed. The work is in the benchmark, not in the program, so a
+/// change to the program does not move it.
+#[derive(Debug, Default)]
+pub struct Speed {
+    recent: Vec<f64>,
+    next: usize,
+    /// Every scale handed out, for the settings line.
+    scales: Vec<f64>,
+}
+
+impl Speed {
+    /// Time the reference work once.
+    pub fn sample(&mut self) {
+        let s = reference_work();
+        if self.recent.len() < SPEED_WINDOW {
+            self.recent.push(s);
+        } else {
+            self.recent[self.next] = s;
+        }
+        self.next = (self.next + 1) % SPEED_WINDOW;
+    }
+
+    /// The factor that turns seconds measured now into seconds at the
+    /// reference speed.
+    pub fn scale(&mut self) -> f64 {
+        while self.recent.len() < SPEED_WINDOW {
+            self.sample();
+        }
+        let scale = REFERENCE_S / median(&self.recent);
+        self.scales.push(scale);
+        scale
+    }
+
+    /// The median scale of the run.
+    pub fn median_scale(&self) -> f64 {
+        median(&self.scales)
+    }
+}
+
+/// A fixed `f64` matrix product, timed: the host-speed probe of [`Speed`].
+/// Its three 32×32 matrices stay in L1.
+pub fn reference_work() -> f64 {
+    const N: usize = 32;
+    const REPS: usize = 10;
+    let a: Vec<f64> = (0..N * N).map(|i| (i % 7) as f64 * 0.25 - 0.75).collect();
+    let mut c = vec![0.0; N * N];
+    let t0 = Instant::now();
+    for _ in 0..REPS {
+        let b = std::hint::black_box(&a);
+        c.iter_mut().for_each(|x| *x = 0.0);
+        for i in 0..N {
+            for k in 0..N {
+                let aik = a[i * N + k];
+                for j in 0..N {
+                    c[i * N + j] += aik * b[k * N + j];
+                }
+            }
+        }
+        std::hint::black_box(&mut c);
+    }
+    t0.elapsed().as_secs_f64()
 }
 
 /// Mean of a pipeline's per-subspace final query losses.
@@ -832,6 +915,7 @@ impl Run {
     pub fn end_to_end(
         ledger: Ledger,
         latencies: &Latencies,
+        speed: &Speed,
         mean_f1: f64,
         setups: &Setups,
         final_query_loss: f64,
@@ -840,6 +924,12 @@ impl Run {
         let sessions = &latencies.secs;
         let (tail_p, tail_v) = tail(sessions);
         settings.extend([
+            ("reference_s", REFERENCE_S.to_string()),
+            ("speed_scale_median", speed.median_scale().to_string()),
+            (
+                "session_p50_unscaled_ms",
+                (median(&latencies.raw) * 1e3).to_string(),
+            ),
             ("timed_sessions", sessions.len().to_string()),
             ("timed_wall_s", latencies.wall.to_string()),
             ("session_tail_percentile", format!("p{tail_p}")),

@@ -1,11 +1,12 @@
 //! `interactive`: one analyst in a closed loop. Each session starts when
 //! the previous outcome returns, and runs Meta* through the per-session
 //! `SessionEngine` (one worker) over a 1 500-row pool at `Exact`. Session
-//! latency is the engine call, which is what the analyst waits for.
+//! latency is the engine call, which is what the analyst waits for, at the
+//! reference speed.
 
 use crate::common::{
     bits, digest, mean_f1, mean_loss, replay_offline, replay_session, Args, Latencies, Ledger,
-    OnlineSetup, Run, Setups, Trace, OFFLINE_SEED,
+    OnlineSetup, Run, Setups, Speed, Trace, OFFLINE_SEED,
 };
 use lte_core::config::ScoringPrecision;
 use lte_serve::SessionEngine;
@@ -36,8 +37,9 @@ pub fn run(args: &Args) -> Run {
         return traced(args, build(), ledger, settings);
     }
 
+    let mut speed = Speed::default();
     let mut setups = Setups::new();
-    let setup = setups.online(&mut ledger, build, |s| s);
+    let setup = setups.online(&mut ledger, speed.scale(), build, |s| s);
     let engine = SessionEngine::with_workers(Arc::clone(&setup.pipeline), 1);
     let budget = setup.pipeline.config().budget();
     let mut firsts = vec![None; setup.requests.len()];
@@ -46,22 +48,26 @@ pub fn run(args: &Args) -> Run {
     let mut k = 0u64;
     while !setup.minimum_done(k as usize) || start.elapsed().as_secs_f64() < args.seconds {
         if setups.due() {
-            drop(setups.online(&mut ledger, build, |s| s));
+            drop(setups.online(&mut ledger, speed.scale(), build, |s| s));
         }
         let req = setup.request(k);
         let t0 = Instant::now();
         let done = engine.run_sessions(vec![req], &setup.pool);
         let latency = t0.elapsed().as_secs_f64();
+        speed.sample();
         ledger.check_session(&mut firsts, setup.index(k), k, &done[0].outcome, budget);
         if setup.timed(k) {
-            latencies.secs.push(latency);
-            latencies.wall += t0.elapsed().as_secs_f64();
+            let scaled = latency * speed.scale();
+            latencies.secs.push(scaled);
+            latencies.wall += scaled;
+            latencies.raw.push(latency);
         }
         k += 1;
     }
     Run::end_to_end(
         ledger,
         &latencies,
+        &speed,
         mean_f1(&firsts),
         &setups,
         mean_loss(&setup.report),

@@ -6,7 +6,7 @@
 
 use crate::common::{
     bits, digest, mean_f1, mean_loss, replay_offline, Args, Latencies, Ledger, OnlineSetup, Run,
-    Setups, Trace, OFFLINE_SEED,
+    Setups, Speed, Trace, OFFLINE_SEED,
 };
 use lte_core::config::ScoringPrecision;
 use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
@@ -47,8 +47,9 @@ pub fn run(args: &Args) -> Run {
         return traced(args, setup, service, ledger, settings);
     }
 
+    let mut speed = Speed::default();
     let mut setups = Setups::new();
-    let (setup, mut service) = setups.online(&mut ledger, build, |built| &built.0);
+    let (setup, mut service) = setups.online(&mut ledger, speed.scale(), build, |built| &built.0);
     let budget = setup.pipeline.config().budget();
     let distinct = setup.requests.len();
     let mut firsts = vec![None; distinct];
@@ -60,10 +61,11 @@ pub fn run(args: &Args) -> Run {
         &setup,
         scale.analysts,
         args.seconds,
+        &mut speed,
         |_, k, o| ledger.check_session(&mut firsts, setup.index(k), k, o, budget),
-        || {
+        |scale| {
             if setups.due() {
-                drop(setups.online(&mut setup_ledger, build, |built| &built.0));
+                drop(setups.online(&mut setup_ledger, scale, build, |built| &built.0));
             }
         },
     );
@@ -86,6 +88,7 @@ pub fn run(args: &Args) -> Run {
     Run::end_to_end(
         ledger,
         &drove.latencies,
+        &speed,
         mean_f1(&firsts),
         &setups,
         mean_loss(&setup.report),
@@ -133,8 +136,9 @@ fn traced(
         &setup,
         analysts,
         args.seconds,
+        &mut Speed::default(),
         |e, k, o| done[e].push((k, digest(o))),
-        || {},
+        |_| {},
     );
     ledger.check(done[0].len() == done[1].len(), || {
         format!(
@@ -236,17 +240,20 @@ struct Drive<const N: usize> {
 /// Several engines run in lock step on the same submissions, each ticking
 /// in turn; the first engine's completions drive the loop, and those after
 /// the first pass are timed. `on_done` sees each engine's completed
-/// sessions (engine, request number, outcome) in completion order. `pause`
-/// runs between ticks; its time is left out of every latency and of the
-/// timed wall time.
+/// sessions (engine, request number, outcome) in completion order. Between
+/// ticks, `speed` is sampled and `pause` runs with its scale; their time is
+/// left out of every latency and of the timed wall time, which are given
+/// at the reference speed.
 fn drive<const N: usize>(
     engines: &mut [&mut dyn TickEngine; N],
     setup: &OnlineSetup,
     analysts: usize,
     seconds: f64,
+    speed: &mut Speed,
     mut on_done: impl FnMut(usize, u64, &UirOutcome),
-    mut pause: impl FnMut(),
+    mut pause: impl FnMut(f64),
 ) -> Drive<N> {
+    let mut scale = speed.scale();
     // Request `k` is the `k`-th submission; `submitted[k]` is when, and
     // how long the loop had paused by then.
     let mut submitted: Vec<(Instant, Duration)> = Vec::new();
@@ -296,8 +303,9 @@ fn drive<const N: usize>(
         for (id, admitted_tick) in done {
             let (at, paused_then) = submitted[id as usize];
             if window.is_some() {
-                let latency = end - at - (paused - paused_then);
-                latencies.secs.push(latency.as_secs_f64());
+                let latency = (end - at - (paused - paused_then)).as_secs_f64();
+                latencies.secs.push(latency * scale);
+                latencies.raw.push(latency);
             }
             waits.push(
                 starts[admitted_tick as usize]
@@ -306,15 +314,20 @@ fn drive<const N: usize>(
             );
             submit(engines, &mut submitted, paused);
         }
-        match window {
+        // The timed wall time grows tick by tick, each stretch at the
+        // speed of its time.
+        match &mut window {
             Some((from, paused_then)) => {
-                latencies.wall = (end - from - (paused - paused_then)).as_secs_f64();
+                latencies.wall += (end - *from - (paused - *paused_then)).as_secs_f64() * scale;
+                (*from, *paused_then) = (end, paused);
             }
             None if completed >= setup.requests.len() => window = Some((end, paused)),
             None => {}
         }
         let t0 = Instant::now();
-        pause();
+        speed.sample();
+        scale = speed.scale();
+        pause(scale);
         paused += t0.elapsed();
     }
     Drive {
