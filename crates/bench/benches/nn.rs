@@ -9,8 +9,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lte_core::classifier::{ClassifierConfig, Grads, UisClassifier};
 use lte_core::config::ScoringPrecision;
+use lte_core::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
-use lte_nn::{matmul_nt_ranked, Activation, Epilogue, Matrix, Matrix32};
+use lte_nn::{Activation, Epilogue, Matrix, Matrix32};
 use std::hint::black_box;
 
 fn bench_nn(c: &mut Criterion) {
@@ -45,7 +46,7 @@ fn bench_nn(c: &mut Criterion) {
 /// batched pass is what `explore_subspace` now runs. The batch form must be
 /// at least ~2× faster here — it agrees with the per-point logits to within
 /// rounding (the conversion split regroups one sum; see
-/// `UisClassifier::logits_batch`), so the win is overhead removal plus the
+/// `Scorer::score`), so the win is overhead removal plus the
 /// 8-column matmul kernel, never different predictions.
 fn bench_pool_scoring(c: &mut Criterion) {
     let cfg = ClassifierConfig {
@@ -76,17 +77,17 @@ fn bench_pool_scoring(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("pool_scoring_batched_4096x64", |b| {
-        b.iter(|| clf.logits_batch(black_box(&v_r), black_box(&pool))[0]);
-    });
-
-    c.bench_function("pool_scoring_f32_4096x64", |b| {
-        b.iter(|| clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Fast)[0]);
-    });
-
-    c.bench_function("pool_scoring_ranked_i8_4096x64", |b| {
-        b.iter(|| clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Ranked)[0]);
-    });
+    for (name, precision) in [
+        ("pool_scoring_batched_4096x64", ScoringPrecision::Exact),
+        ("pool_scoring_f32_4096x64", ScoringPrecision::Fast),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let req = ScoreRequest::new(black_box(&v_r), black_box(&pool), precision);
+                clf.score(&req)[0]
+            });
+        });
+    }
 }
 
 /// The raw matmul kernels under pool scoring, isolated from the classifier:
@@ -143,17 +144,6 @@ fn bench_matmul_kernels(c: &mut Criterion) {
             black_box(&a32)
                 .matmul_nt_ep(black_box(&b32), Epilogue::new(&bias, Activation::Relu))
                 .row(0)[0]
-        });
-    });
-
-    c.bench_function("layer_i8_ranked_512x64x64", |bench| {
-        bench.iter(|| {
-            matmul_nt_ranked(
-                black_box(&a32),
-                black_box(&b32),
-                Epilogue::new(&bias, Activation::Relu),
-            )
-            .row(0)[0]
         });
     });
 }

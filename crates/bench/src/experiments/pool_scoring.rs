@@ -1,25 +1,24 @@
 //! Pool-scoring latency ladder with a machine-readable snapshot.
 //!
 //! Measures the serving-scale pool prediction (4096 tuples × 64 features
-//! through one UIS classifier) across the four scoring modes this repo
-//! has grown, worst to best:
+//! through one UIS classifier) across the three scoring modes, worst to
+//! best:
 //!
 //! 1. **per_point** — one `UisClassifier::logit` call per tuple, the
 //!    original online path (per-call forward-cache allocations),
-//! 2. **batched_f64** — `logits_batch`: one `forward_batch` pass per block
-//!    on the tiled f64 kernel, bit-compatible with per-point logits,
-//! 3. **fast_f32** — `score_pool(.., ScoringPrecision::Fast)`: the SIMD
+//! 2. **batched_f64** — `Scorer::score` at `ScoringPrecision::Exact`: one
+//!    `forward_batch` pass per block on the tiled f64 kernel,
+//!    bit-compatible with per-point logits,
+//! 3. **fast_f32** — `Scorer::score` at `ScoringPrecision::Fast`: the SIMD
 //!    f32 kernels with the fused bias+activation epilogue, rank-stable
-//!    within the documented noise floor,
-//! 4. **ranked_i8** — `score_pool(.., ScoringPrecision::Ranked)`: i8
-//!    dynamic quantization, valid for argmax-order ranking only.
+//!    within the documented noise floor.
 //!
 //! The raw kernels under those paths are timed alongside at one
 //! classifier-layer shape so kernel-level and end-to-end wins can be told
 //! apart: naive/tiled f64, the f32 path unfused (matmul → bias pass →
-//! ReLU pass) vs fused (one epilogue kernel), each SIMD microkernel pinned
-//! individually (AVX-512F, AVX2+FMA — emitted with an `unsupported` marker
-//! when the host lacks the feature), and the quantized i8 kernel.
+//! ReLU pass) vs fused (one epilogue kernel), and each SIMD microkernel
+//! pinned individually (AVX-512F, AVX2+FMA — emitted with an
+//! `unsupported` marker when the host lacks the feature).
 //!
 //! Unlike the criterion benches (vendored criterion has no JSON output),
 //! this experiment writes `BENCH_pool_scoring.json` — a committed snapshot
@@ -34,8 +33,9 @@ use crate::report::Report;
 use lte_core::classifier::{ClassifierConfig, UisClassifier};
 use lte_core::config::ScoringPrecision;
 use lte_core::parallel::default_threads;
+use lte_core::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
-use lte_nn::{cpu_features, matmul_nt_ranked, Activation, Epilogue, KernelKind, Matrix, Matrix32};
+use lte_nn::{cpu_features, Activation, Epilogue, KernelKind, Matrix, Matrix32};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::Path;
@@ -120,24 +120,18 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
             black_box(scores[0]);
         })),
     );
-    push(
-        "batched_f64",
-        Some(time_ns(iters, || {
-            black_box(clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Exact));
-        })),
-    );
-    push(
-        "fast_f32",
-        Some(time_ns(iters, || {
-            black_box(clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Fast));
-        })),
-    );
-    push(
-        "ranked_i8",
-        Some(time_ns(iters, || {
-            black_box(clf.score_pool(black_box(&v_r), black_box(&pool), ScoringPrecision::Ranked));
-        })),
-    );
+    for (name, precision) in [
+        ("batched_f64", ScoringPrecision::Exact),
+        ("fast_f32", ScoringPrecision::Fast),
+    ] {
+        push(
+            name,
+            Some(time_ns(iters, || {
+                let req = ScoreRequest::new(black_box(&v_r), black_box(&pool), precision);
+                black_box(clf.score(&req));
+            })),
+        );
+    }
 
     // Raw kernels at one classifier-layer shape (pool-block × Ne · Ne × Ne).
     let (kn, km, kk) = (if smoke { 128 } else { 512 }, ne, ne);
@@ -218,19 +212,6 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
             push(name, None);
         }
     }
-    // Quantized layer: per-row absmax quantization of both operands plus
-    // the i8 multiply — the per-call cost the Ranked path actually pays.
-    push(
-        "kernel_i8",
-        Some(time_ns(iters, || {
-            let out = matmul_nt_ranked(
-                black_box(&a32),
-                black_box(&b32),
-                Epilogue::new(&bias, Activation::Relu),
-            );
-            black_box(out.row(0)[0]);
-        })),
-    );
 
     let per_point_ns = timings[0].median_ns;
     let mut report = Report::new(

@@ -61,7 +61,7 @@ fn run_fused(
     workers: usize,
 ) -> FusedRun {
     let t0 = Instant::now();
-    let mut service = ScoringService::new(workers);
+    let mut service = ScoringService::builder().workers(workers).build();
     service.add_shard("sdss", Arc::clone(pipeline), pool.to_vec());
     for req in requests {
         service.submit("sdss", req.clone());
@@ -151,7 +151,7 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
     );
 
     let t0 = Instant::now();
-    let mut service = ScoringService::new(workers);
+    let mut service = ScoringService::builder().workers(workers).build();
     service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
     service.add_shard("car", Arc::clone(&car_pipeline), car_pool);
     for (s, c) in requests.iter().take(sessions / 2).zip(&car_requests) {

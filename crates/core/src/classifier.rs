@@ -15,7 +15,7 @@
 //! locally fine-tuned by backpropagation together with θ (§VI-B).
 
 use lte_nn::loss::bce_with_logits;
-use lte_nn::{matmul_nt_ranked, Activation, Epilogue, Matrix, Matrix32, Mlp, MlpCache};
+use lte_nn::{Activation, Epilogue, Matrix, Matrix32, Mlp, MlpCache};
 use rand::Rng;
 
 /// Architecture of the UIS classifier.
@@ -47,44 +47,6 @@ impl ClassifierConfig {
 
 /// One labeled training example: encoded tuple features plus label.
 pub type Example = (Vec<f64>, bool);
-
-/// Legacy fused-batch request — superseded by
-/// [`FusedRequest`](crate::scorer::FusedRequest) on the unified
-/// [`Scorer`](crate::scorer::Scorer) surface; kept as a thin compatibility
-/// shim for existing callers. See [`score_pool_fused`].
-pub struct PoolScoreRequest<'a> {
-    /// The (adapted) classifier that scores this request's rows.
-    pub classifier: &'a UisClassifier,
-    /// The session's expanded UIS feature vector `vR`.
-    pub v_r: &'a [f64],
-    /// Encoded pool rows to score.
-    pub rows: &'a [Vec<f64>],
-    /// Scoring precision for this request.
-    pub precision: crate::config::ScoringPrecision,
-}
-
-/// Legacy alias for [`score_fused`](crate::scorer::score_fused): score many
-/// sessions' pools as one fused batch at the default worker count. New code
-/// should build [`FusedRequest`](crate::scorer::FusedRequest)s and call the
-/// `scorer` module directly; outputs are bit-identical either way.
-pub fn score_pool_fused(requests: &[PoolScoreRequest<'_>]) -> Vec<Vec<f64>> {
-    score_pool_fused_with(requests, crate::parallel::default_threads())
-}
-
-/// Legacy alias for [`score_fused_with`](crate::scorer::score_fused_with)
-/// with an explicit worker count — the serving engine passes its configured
-/// worker budget; tests force `threads > 1` to exercise the fused parallel
-/// path on single-core machines.
-pub fn score_pool_fused_with(requests: &[PoolScoreRequest<'_>], threads: usize) -> Vec<Vec<f64>> {
-    let unified: Vec<crate::scorer::FusedRequest<'_>> = requests
-        .iter()
-        .map(|r| crate::scorer::FusedRequest {
-            scorer: r.classifier,
-            request: crate::scorer::ScoreRequest::new(r.v_r, r.rows, r.precision),
-        })
-        .collect();
-    crate::scorer::score_fused_with(&unified, threads)
-}
 
 /// Forward-pass cache for backprop.
 pub struct ForwardCache {
@@ -246,9 +208,10 @@ impl UisClassifier {
         self.forward(v_r, v_t).logit
     }
 
-    /// Batched inference: logits for many tuples sharing one UIS feature
-    /// vector — the pool-scoring shape of the online phase, where a whole
-    /// retrieval pool is predicted against a single user's `vR`.
+    /// Serial `f64` scoring of one row block: logits for many tuples
+    /// sharing one UIS feature vector — the pool-scoring shape of the
+    /// online phase, where a whole retrieval pool is predicted against a
+    /// single user's `vR`.
     ///
     /// The UIS embedding is computed once, the tuple embeddings and
     /// classification run as one [`Mlp::forward_batch`] pass per block, and
@@ -259,109 +222,6 @@ impl UisClassifier {
     /// within rounding (the split regroups the conversion sum), depends
     /// only on its own tuple, and is deterministic — batch composition
     /// never changes a tuple's logit.
-    ///
-    /// Pools of at least [`UisClassifier::PARALLEL_MIN_ROWS`] rows are
-    /// fanned across the shared worker pool in contiguous row blocks (see
-    /// [`parallel_flat_map_chunks`](crate::parallel::parallel_flat_map_chunks));
-    /// because each logit depends only on
-    /// its own tuple, the output is bit-identical to the serial pass at
-    /// any worker count.
-    ///
-    /// ```
-    /// use lte_core::classifier::{ClassifierConfig, UisClassifier};
-    /// use lte_data::rng::seeded;
-    ///
-    /// let cfg = ClassifierConfig { ku: 4, nr: 3, ne: 8, clf_hidden: 8, use_conversion: true };
-    /// let clf = UisClassifier::new(cfg, &mut seeded(0));
-    /// let v_r = vec![1.0, 0.0, 1.0, 0.0];
-    /// let pool = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
-    /// let logits = clf.logits_batch(&v_r, &pool);
-    /// assert_eq!(logits.len(), 2);
-    /// // Batched logits agree with the per-point path on every tuple.
-    /// assert!((logits[0] - clf.logit(&v_r, &pool[0])).abs() < 1e-12);
-    /// ```
-    ///
-    /// # Panics
-    /// Panics when input widths disagree with the architecture.
-    pub fn logits_batch(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f64> {
-        assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
-        self.chunked(tuples, |chunk| self.logits_block(v_r, chunk))
-    }
-
-    /// Single-precision batched inference — [`UisClassifier::logits_batch`]
-    /// on the `f32` kernels ([`Mlp::forward_batch_f32`]), for pool
-    /// *ranking* where only the order of logits matters. Logits track the
-    /// `f64` path to within `f32` round-off accumulated over the blocks
-    /// (see [`ScoringPrecision`](crate::config::ScoringPrecision) for the
-    /// accuracy/rank contract); the `f64` path stays the reference for
-    /// training and gradcheck. Parallelizes over row blocks exactly like
-    /// the `f64` path, with the same worker-count independence.
-    ///
-    /// # Panics
-    /// Panics when input widths disagree with the architecture.
-    pub fn logits_batch_f32(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
-        assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
-        self.chunked(tuples, |chunk| self.logits_block_f32(v_r, chunk))
-    }
-
-    /// i8-quantized batched inference — [`UisClassifier::logits_batch`]
-    /// on the quantized ranking kernels ([`Mlp::forward_batch_ranked`]),
-    /// for **argmax-order ranking only**: quantization error is
-    /// percent-level, far outside the `f32` noise floor, so the raw values
-    /// must never feed thresholds or calibration (see
-    /// [`ScoringPrecision::Ranked`](crate::config::ScoringPrecision) for
-    /// the contract). Quantization scales are row-local and the integer
-    /// accumulation is exact, so block-parallel dispatch stays bitwise
-    /// identical to the serial pass at any worker count.
-    ///
-    /// # Panics
-    /// Panics when input widths disagree with the architecture.
-    pub fn logits_batch_ranked(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
-        assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
-        self.chunked(tuples, |chunk| self.logits_block_ranked(v_r, chunk))
-    }
-
-    /// Score a retrieval pool at the configured precision, always returning
-    /// `f64` logits (Fast-mode `f32` logits are promoted exactly). Thin
-    /// shim over the unified [`Scorer::score`](crate::scorer::Scorer::score)
-    /// surface, kept so existing callers compile unchanged; see
-    /// [`ScoringPrecision`](crate::config::ScoringPrecision) for when
-    /// `Fast` is safe.
-    pub fn score_pool(
-        &self,
-        v_r: &[f64],
-        tuples: &[Vec<f64>],
-        precision: crate::config::ScoringPrecision,
-    ) -> Vec<f64> {
-        use crate::scorer::{ScoreRequest, Scorer};
-        self.score(&ScoreRequest::new(v_r, tuples, precision))
-    }
-
-    /// Minimum pool rows before scoring fans out over row blocks — alias
-    /// of [`scorer::PARALLEL_MIN_ROWS`](crate::scorer::PARALLEL_MIN_ROWS),
-    /// kept for existing callers.
-    pub const PARALLEL_MIN_ROWS: usize = crate::scorer::PARALLEL_MIN_ROWS;
-    /// Rows per parallel block — alias of
-    /// [`scorer::PARALLEL_BLOCK_ROWS`](crate::scorer::PARALLEL_BLOCK_ROWS).
-    const PARALLEL_BLOCK_ROWS: usize = crate::scorer::PARALLEL_BLOCK_ROWS;
-
-    /// Dispatch a per-block scorer serially or over the shared worker pool
-    /// depending on pool size. Output equals the serial pass bitwise
-    /// because every scoring path maps each row independently.
-    fn chunked<O, F>(&self, tuples: &[Vec<f64>], f: F) -> Vec<O>
-    where
-        O: Send,
-        F: Fn(&[Vec<f64>]) -> Vec<O> + Sync,
-    {
-        let threads = crate::parallel::default_threads();
-        if tuples.len() < Self::PARALLEL_MIN_ROWS || threads <= 1 {
-            return f(tuples);
-        }
-        crate::parallel::parallel_flat_map_chunks(tuples, Self::PARALLEL_BLOCK_ROWS, threads, f)
-    }
-
-    /// Serial `f64` scoring of one row block (see
-    /// [`UisClassifier::logits_batch`] for the algebra).
     fn logits_block(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f64> {
         let x = Matrix::from_rows(tuples, self.cfg.nr);
         let r_emb = self.r_block.forward(v_r);
@@ -394,7 +254,8 @@ impl UisClassifier {
     /// Serial `f32` scoring of one row block: same algebra as
     /// [`UisClassifier::logits_block`], with the pool-constant pieces
     /// (UIS embedding, conversion split) computed once in `f64` and
-    /// demoted, and every per-tuple matmul on the `f32` kernels.
+    /// demoted, and every per-tuple matmul on the `f32` kernels
+    /// ([`Mlp::forward_batch_f32`]).
     fn logits_block_f32(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
         let x = Matrix32::from_rows(tuples, self.cfg.nr);
         let r_emb = self.r_block.forward(v_r);
@@ -424,41 +285,6 @@ impl UisClassifier {
             }
         };
         self.clf_block.forward_batch_f32(&clf_in).data().to_vec()
-    }
-
-    /// Serial i8-quantized scoring of one row block: same algebra as
-    /// [`UisClassifier::logits_block_f32`], with every per-tuple matmul on
-    /// the quantized ranking kernels (the pool-constant UIS embedding and
-    /// conversion split stay in `f64`, exactly as in the `f32` path, and
-    /// fold into the fused epilogue as the bias).
-    fn logits_block_ranked(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
-        let x = Matrix32::from_rows(tuples, self.cfg.nr);
-        let r_emb = self.r_block.forward(v_r);
-        let t_emb = self.t_block.forward_batch_ranked(&x);
-        let ne = self.cfg.ne;
-
-        let clf_in = match &self.conversion {
-            Some(mcp) => {
-                let (r_const, mcp_right) = self.split_conversion(mcp, &r_emb);
-                let r_const32: Vec<f32> = r_const.iter().map(|&v| v as f32).collect();
-                matmul_nt_ranked(
-                    &t_emb,
-                    &Matrix32::from_f64(&mcp_right),
-                    Epilogue::bias_only(&r_const32),
-                )
-            }
-            None => {
-                let r_emb32: Vec<f32> = r_emb.iter().map(|&v| v as f32).collect();
-                let mut concat = Matrix32::zeros(tuples.len(), 2 * ne);
-                for r in 0..tuples.len() {
-                    let row = concat.row_mut(r);
-                    row[..ne].copy_from_slice(&r_emb32);
-                    row[ne..].copy_from_slice(t_emb.row(r));
-                }
-                concat
-            }
-        };
-        self.clf_block.forward_batch_ranked(&clf_in).data().to_vec()
     }
 
     /// Split the conversion `Mcp·[embR | embτ]` into the pool-constant
@@ -618,8 +444,6 @@ impl UisClassifier {
 
 /// The unified scoring surface (see [`crate::scorer`]): the classifier's
 /// serial block kernels plugged into the shared block-cutting policy.
-/// [`Scorer::score`](crate::scorer::Scorer::score) on a classifier is
-/// bit-identical to [`UisClassifier::score_pool`] at any worker count.
 impl crate::scorer::Scorer for UisClassifier {
     fn vr_width(&self) -> usize {
         self.cfg.ku
@@ -635,11 +459,6 @@ impl crate::scorer::Scorer for UisClassifier {
             crate::config::ScoringPrecision::Exact => self.logits_block(v_r, rows),
             crate::config::ScoringPrecision::Fast => self
                 .logits_block_f32(v_r, rows)
-                .into_iter()
-                .map(f64::from)
-                .collect(),
-            crate::config::ScoringPrecision::Ranked => self
-                .logits_block_ranked(v_r, rows)
                 .into_iter()
                 .map(f64::from)
                 .collect(),
@@ -751,7 +570,9 @@ mod tests {
     }
 
     #[test]
-    fn logits_batch_matches_per_point() {
+    fn exact_score_matches_per_point() {
+        use crate::config::ScoringPrecision::Exact;
+        use crate::scorer::{ScoreRequest, Scorer};
         for use_conv in [false, true] {
             let mut rng = seeded(6);
             let c = UisClassifier::new(cfg(use_conv), &mut rng);
@@ -759,7 +580,7 @@ mod tests {
             let tuples: Vec<Vec<f64>> = (0..23)
                 .map(|i| (0..6).map(|j| ((i * 6 + j) as f64 * 0.17).sin()).collect())
                 .collect();
-            let batch = c.logits_batch(&v_r, &tuples);
+            let batch = c.score(&ScoreRequest::new(&v_r, &tuples, Exact));
             assert_eq!(batch.len(), tuples.len());
             for (i, t) in tuples.iter().enumerate() {
                 let solo = c.logit(&v_r, t);
@@ -769,9 +590,9 @@ mod tests {
                     batch[i]
                 );
             }
-            assert!(c.logits_batch(&v_r, &[]).is_empty());
+            assert!(c.score(&ScoreRequest::new(&v_r, &[], Exact)).is_empty());
             // Batch composition never changes a tuple's logit.
-            let half = c.logits_batch(&v_r, &tuples[..11]);
+            let half = c.score(&ScoreRequest::new(&v_r, &tuples[..11], Exact));
             for (a, b) in half.iter().zip(&batch) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }

@@ -214,7 +214,7 @@ impl Default for RefineConfig {
 }
 
 /// Numeric precision of batched pool scoring (see
-/// [`UisClassifier::score_pool`](crate::classifier::UisClassifier::score_pool)).
+/// [`Scorer::score`](crate::scorer::Scorer::score)).
 ///
 /// The online loop re-scores the whole candidate pool through the
 /// classifier every round, but only ever *ranks* the results (argmax /
@@ -232,22 +232,12 @@ impl Default for RefineConfig {
 /// floor may swap; predictions may differ only for logits within the
 /// noise floor of 0.
 ///
-/// **`Ranked` is ranking-only.** The i8-quantized mode's error is
-/// proportional to each layer's dynamic range (roughly percent-level, not
-/// `1e-4`), so its logits must feed **argmax-order decisions only** —
-/// never thresholds, calibration, score deltas, or anything that reads
-/// the raw values. Its rank agreement holds above a correspondingly wider
-/// noise floor (same proptest suite). Like `Fast`, it is deterministic at
-/// any worker count: quantization scales are row-local, and the integer
-/// k-sums are exact.
-///
 /// ```
 /// use lte_core::config::{LteConfig, ScoringPrecision};
 ///
 /// let mut cfg = LteConfig::reduced();
 /// assert_eq!(cfg.online.precision, ScoringPrecision::Exact); // default
 /// cfg.online.precision = ScoringPrecision::Fast; // opt in to f32 ranking
-/// cfg.online.precision = ScoringPrecision::Ranked; // i8, argmax-order only
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoringPrecision {
@@ -257,10 +247,6 @@ pub enum ScoringPrecision {
     /// `f32` scoring for pool ranking — faster, rank-accurate outside the
     /// `f32` noise floor.
     Fast,
-    /// i8-quantized scoring (per-row absmax scales, exact `i32`
-    /// accumulation) — fastest, valid for argmax-order ranking **only**;
-    /// raw logit values carry percent-level quantization error.
-    Ranked,
 }
 
 /// Online exploration parameters.

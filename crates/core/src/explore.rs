@@ -16,6 +16,7 @@ use crate::feature::{expansion_degree, uis_feature_vector};
 use crate::meta_learner::MetaLearner;
 use crate::oracle::SubspaceOracle;
 use crate::refine::build_subregions;
+use crate::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
 use rand::RngExt;
 use std::time::Instant;
@@ -60,7 +61,7 @@ pub struct ExploreOutcome {
 /// The label-and-adapt half of one exploration round, stopped right before
 /// pool scoring — so a serving layer can collect many sessions' prepared
 /// rounds and score their pools as one fused batch (see
-/// [`crate::classifier::score_pool_fused`]).
+/// [`crate::scorer::score_fused_with`]).
 #[derive(Debug, Clone)]
 pub struct PreparedRound {
     /// The adapted (or from-scratch-trained) classifier for this round.
@@ -78,7 +79,7 @@ pub struct PreparedRound {
 /// Steps (1)–(4) of one round: collect the initial labels, build the UIS
 /// feature vector, and adapt/train the classifier — everything up to (but
 /// excluding) pool scoring. [`explore_subspace`] is exactly
-/// `prepare_round` → `score_pool` → [`finish_round`]; the cross-session
+/// `prepare_round` → [`Scorer::score`] → [`finish_round`]; the cross-session
 /// scoring service runs the same three stages with the middle one fused
 /// across sessions.
 ///
@@ -236,9 +237,11 @@ pub fn explore_subspace(
     let prepared = prepare_round(ctx, learner, oracle, cfg, variant, seed);
     let start = Instant::now();
     let encoded: Vec<Vec<f64>> = eval_rows.iter().map(|row| ctx.encode(row)).collect();
-    let scores = prepared
-        .classifier
-        .score_pool(&prepared.v_r, &encoded, cfg.online.precision);
+    let scores = prepared.classifier.score(&ScoreRequest::new(
+        &prepared.v_r,
+        &encoded,
+        cfg.online.precision,
+    ));
     let score_seconds = start.elapsed().as_secs_f64();
     finish_round(
         ctx,

@@ -68,7 +68,7 @@ pub fn default_threads() -> usize {
 /// flattening the per-block outputs back in input order — the row-block
 /// parallelism under large batched matmuls (each block of pool rows is
 /// scored independently; see
-/// [`UisClassifier::score_pool`](crate::classifier::UisClassifier::score_pool)).
+/// [`Scorer::score`](crate::scorer::Scorer::score)).
 ///
 /// Because blocks are contiguous and outputs are re-assembled in input
 /// order, the result is **identical to `f(items)`** whenever `f` maps each
@@ -123,7 +123,7 @@ where
 ///
 /// With `threads <= 1` each group is processed in one `f(g, group)` call,
 /// exactly like the serial path of
-/// [`UisClassifier::score_pool`](crate::classifier::UisClassifier::score_pool).
+/// [`Scorer::score`](crate::scorer::Scorer::score).
 ///
 /// ```
 /// use lte_core::parallel::parallel_flat_map_groups;

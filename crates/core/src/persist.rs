@@ -30,12 +30,6 @@ use std::fs;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"LTEP";
-// v1: initial format. v2: OnlineConfig grew the scoring-precision knob
-// (v1 files load with the precision defaulted to `Exact`, the v1-era
-// behavior). v3: the precision byte gained the `Ranked` value (2); v2
-// files still decode with their original two-value alphabet.
-const MIN_VERSION: u8 = 1;
-const VERSION: u8 = 3;
 
 /// Errors from saving/loading pipelines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,17 +38,18 @@ pub enum PersistError {
     Io(String),
     /// Input does not start with the `LTEP` magic.
     BadMagic,
-    /// Format version this build cannot read: 0, or newer than
-    /// [`FORMAT_VERSION`] (decoding a future layout with today's field
+    /// Format version this build cannot read: anything but
+    /// [`FORMAT_VERSION`] (decoding another layout with today's field
     /// order would misparse silently, so it is refused up front).
     UnsupportedVersion(u8),
     /// Truncated or structurally invalid payload.
     Corrupt(&'static str),
 }
 
-/// The newest LTEP format version this build writes and reads. Older
-/// versions back to v1 still load, with absent knobs defaulted.
-pub const FORMAT_VERSION: u8 = VERSION;
+/// The one LTEP format version this build writes and reads. Versions 1
+/// and 2 (config blocks without or with an older precision byte) are
+/// refused with [`PersistError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u8 = 3;
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -63,8 +58,8 @@ impl std::fmt::Display for PersistError {
             PersistError::BadMagic => write!(f, "not an LTE pipeline file"),
             PersistError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported format version {v} (this build reads versions \
-                 {MIN_VERSION} through {VERSION})"
+                "unsupported format version {v} (this build reads version \
+                 {FORMAT_VERSION} only)"
             ),
             PersistError::Corrupt(what) => write!(f, "corrupt pipeline file: {what}"),
         }
@@ -216,7 +211,7 @@ impl<'a> Dec<'a> {
 
 // ----------------------------------------------------------- config codec
 
-fn put_config(e: &mut Enc, c: &LteConfig, version: u8) {
+fn put_config(e: &mut Enc, c: &LteConfig) {
     // MetaTaskConfig
     e.usize(c.task.ku);
     e.usize(c.task.ks);
@@ -253,23 +248,10 @@ fn put_config(e: &mut Enc, c: &LteConfig, version: u8) {
     e.usize(c.online.adapt_steps);
     e.f64(c.online.lr);
     e.usize(c.online.basic_steps);
-    // The precision knob exists from v2 on; v1 had no byte here. The
-    // `Ranked` value needs v3: a v2 writer downgrades it to `Fast` (the
-    // nearest mode v2 readers understand — still a reduced-precision
-    // ranking path), mirroring how v1 drops the knob entirely.
-    if version >= 2 {
-        e.u8(match c.online.precision {
-            ScoringPrecision::Exact => 0,
-            ScoringPrecision::Fast => 1,
-            ScoringPrecision::Ranked => {
-                if version >= 3 {
-                    2
-                } else {
-                    1
-                }
-            }
-        });
-    }
+    e.u8(match c.online.precision {
+        ScoringPrecision::Exact => 0,
+        ScoringPrecision::Fast => 1,
+    });
     // EncoderConfig
     e.u8(match c.encoder.kind {
         EncoderKind::Auto => 0,
@@ -283,7 +265,7 @@ fn put_config(e: &mut Enc, c: &LteConfig, version: u8) {
     e.usize(c.encoder.min_sample);
 }
 
-fn get_config(d: &mut Dec, version: u8) -> Result<LteConfig, PersistError> {
+fn get_config(d: &mut Dec) -> Result<LteConfig, PersistError> {
     let task = MetaTaskConfig {
         ku: d.usize()?,
         ks: d.usize()?,
@@ -330,19 +312,10 @@ fn get_config(d: &mut Dec, version: u8) -> Result<LteConfig, PersistError> {
         adapt_steps: d.usize()?,
         lr: d.f64()?,
         basic_steps: d.usize()?,
-        // v1 predates the precision knob: default to `Exact`, the only
-        // behavior v1 files could have been written under. The `Ranked`
-        // value (2) is part of the v3 alphabet only — in a v2 file it is
-        // corruption, not a mode.
-        precision: if version >= 2 {
-            match d.u8()? {
-                0 => ScoringPrecision::Exact,
-                1 => ScoringPrecision::Fast,
-                2 if version >= 3 => ScoringPrecision::Ranked,
-                _ => return Err(PersistError::Corrupt("unknown scoring precision")),
-            }
-        } else {
-            ScoringPrecision::Exact
+        precision: match d.u8()? {
+            0 => ScoringPrecision::Exact,
+            1 => ScoringPrecision::Fast,
+            _ => return Err(PersistError::Corrupt("unknown scoring precision")),
         },
     };
     let encoder = EncoderConfig {
@@ -430,22 +403,12 @@ fn get_attribute_encoder(d: &mut Dec) -> Result<AttributeEncoder, PersistError> 
 
 // --------------------------------------------------------------- pipeline
 
-/// Serialize a trained pipeline to bytes (current format version).
+/// Serialize a trained pipeline to bytes ([`FORMAT_VERSION`]).
 pub fn pipeline_to_bytes(p: &LtePipeline) -> Vec<u8> {
-    pipeline_to_bytes_versioned(p, VERSION)
-}
-
-/// Serialize at an explicit (older) format version — used by the
-/// version-gating tests to produce genuine v1 payloads.
-fn pipeline_to_bytes_versioned(p: &LtePipeline, version: u8) -> Vec<u8> {
-    assert!(
-        (MIN_VERSION..=VERSION).contains(&version),
-        "cannot write format version {version}"
-    );
     let mut e = Enc::default();
     e.buf.extend_from_slice(MAGIC);
-    e.u8(version);
-    put_config(&mut e, p.config(), version);
+    e.u8(FORMAT_VERSION);
+    put_config(&mut e, p.config());
     e.usize(p.subspaces().len());
     for i in 0..p.subspaces().len() {
         let ctx = &p.contexts()[i];
@@ -491,10 +454,10 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
         return Err(PersistError::BadMagic);
     }
     let version = d.u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let config = get_config(&mut d, version)?;
+    let config = get_config(&mut d)?;
     let n_subspaces = d.len(1 << 12, "too many subspaces")?;
     if n_subspaces == 0 {
         return Err(PersistError::Corrupt("pipeline without subspaces"));
@@ -719,34 +682,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regression (serving bugfix sweep): pre-precision-knob v1 files must
-    /// load — not error — with `ScoringPrecision` defaulted to `Exact`,
-    /// and produce the same predictions as the same pipeline at `Exact`.
-    #[test]
-    fn v1_file_loads_with_exact_precision_default() {
-        let (mut p, pool) = trained_pipeline();
-        // Write v1 from a pipeline whose in-memory knob is Fast: the v1
-        // format cannot carry it, so the load must come back Exact.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Fast;
-        p.set_online(online);
-        let v1 = pipeline_to_bytes_versioned(&p, 1);
-        assert_eq!(v1[4], 1, "version byte");
-        let loaded = pipeline_from_bytes(&v1).expect("v1 must load");
-        assert_eq!(loaded.config().online.precision, ScoringPrecision::Exact);
-
-        // And the v1 round trip preserves everything else: predictions
-        // match the same pipeline forced to Exact.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Exact;
-        p.set_online(online);
-        let truth = p.generate_truth(UisMode::new(4, 8), 9, 0.2, 0.9);
-        let truth2 = loaded.generate_truth(UisMode::new(4, 8), 9, 0.2, 0.9);
-        let a = p.explore(&truth, &pool, Variant::Meta, 3);
-        let b = loaded.explore(&truth2, &pool, Variant::Meta, 3);
-        assert_eq!(a.confusion, b.confusion);
-    }
-
     /// Regression (serving bugfix sweep): a version byte *newer* than this
     /// build must be refused with a clear `UnsupportedVersion` — decoding
     /// a future layout with today's field order would misparse silently.
@@ -754,67 +689,49 @@ mod tests {
     fn future_version_is_unsupported_not_misparsed() {
         let (p, _) = trained_pipeline();
         let mut bytes = pipeline_to_bytes(&p);
-        bytes[4] = VERSION + 1;
+        bytes[4] = FORMAT_VERSION + 1;
         assert_eq!(
             pipeline_from_bytes(&bytes).unwrap_err(),
-            PersistError::UnsupportedVersion(VERSION + 1)
+            PersistError::UnsupportedVersion(FORMAT_VERSION + 1)
         );
-        // Current version still round-trips, and the error names the range.
-        assert_eq!(FORMAT_VERSION, VERSION);
+        // The error names the one version this build reads.
         let msg = PersistError::UnsupportedVersion(9).to_string();
         assert!(msg.contains("unsupported format version 9"), "{msg}");
-        assert!(msg.contains('1') && msg.contains('3'), "{msg}");
+        assert!(msg.contains("reads version 3 only"), "{msg}");
     }
 
-    /// LTEP v3 carries `ScoringPrecision::Ranked`; the round trip must
-    /// preserve it exactly.
+    /// Only v3 loads: older version bytes are refused rather than decoded
+    /// with today's layout, a precision byte outside `{0, 1}` is
+    /// corruption, and a `Fast` pipeline round-trips its precision.
     #[test]
-    fn v3_round_trips_ranked_precision() {
+    fn only_v3_loads_and_fast_precision_round_trips() {
         let (mut p, _) = trained_pipeline();
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Ranked;
-        p.set_online(online);
-        let bytes = pipeline_to_bytes(&p);
-        assert_eq!(bytes[4], 3, "version byte");
-        let loaded = pipeline_from_bytes(&bytes).expect("v3 must load");
-        assert_eq!(loaded.config().online.precision, ScoringPrecision::Ranked);
-    }
+        let exact = pipeline_to_bytes(&p);
+        assert_eq!(exact[4], FORMAT_VERSION, "version byte");
+        for old in [1, 2] {
+            let mut bytes = exact.clone();
+            bytes[4] = old;
+            assert_eq!(
+                pipeline_from_bytes(&bytes).unwrap_err(),
+                PersistError::UnsupportedVersion(old)
+            );
+        }
 
-    /// v2 files keep their prior semantics under a v3 reader: the
-    /// two-value precision alphabet decodes unchanged, and the value `2`
-    /// (v3's `Ranked`) is corruption in a v2 file, not a mode.
-    #[test]
-    fn v2_file_loads_with_prior_semantics() {
-        let (mut p, _) = trained_pipeline();
         let mut online = p.config().online.clone();
         online.precision = ScoringPrecision::Fast;
         p.set_online(online);
-        let v2 = pipeline_to_bytes_versioned(&p, 2);
-        assert_eq!(v2[4], 2, "version byte");
-        let loaded = pipeline_from_bytes(&v2).expect("v2 must load");
+        let fast = pipeline_to_bytes(&p);
+        let loaded = pipeline_from_bytes(&fast).expect("v3 must load");
         assert_eq!(loaded.config().online.precision, ScoringPrecision::Fast);
 
-        // A v2 writer cannot represent Ranked: it downgrades to Fast.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Ranked;
-        p.set_online(online);
-        let v2_ranked = pipeline_to_bytes_versioned(&p, 2);
-        let loaded = pipeline_from_bytes(&v2_ranked).expect("v2 must load");
-        assert_eq!(loaded.config().online.precision, ScoringPrecision::Fast);
-
-        // And a literal 2 in a v2 precision byte is refused. The byte sits
-        // at a fixed offset only relative to the config block, so find it
-        // by diffing the Exact and Fast encodings of the same pipeline.
-        let mut online = p.config().online.clone();
-        online.precision = ScoringPrecision::Exact;
-        p.set_online(online);
-        let v2_exact = pipeline_to_bytes_versioned(&p, 2);
-        let idx = v2_exact
+        // The precision byte sits at a fixed offset only relative to the
+        // config block, so find it by diffing the Exact and Fast encodings.
+        let idx = exact
             .iter()
-            .zip(&v2)
+            .zip(&fast)
             .position(|(a, b)| a != b)
             .expect("encodings must differ at the precision byte");
-        let mut forged = v2_exact.clone();
+        let mut forged = exact.clone();
         forged[idx] = 2;
         assert_eq!(
             pipeline_from_bytes(&forged).unwrap_err(),

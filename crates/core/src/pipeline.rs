@@ -20,6 +20,7 @@ use crate::meta_learner::MetaLearner;
 use crate::meta_task::generate_task_set;
 use crate::metrics::ConfusionMatrix;
 use crate::oracle::{ConjunctiveOracle, RegionOracle};
+use crate::scorer::{ScoreRequest, Scorer};
 use crate::uis::{generate_uis, UisMode};
 use lte_data::rng::{derive_seed, seeded};
 use lte_data::subspace::Subspace;
@@ -379,11 +380,11 @@ impl LtePipeline {
                 derive_seed(seed, 2000 + i as u64),
             );
             let t0 = Instant::now();
-            let scores = prepared.classifier.score_pool(
+            let scores = prepared.classifier.score(&ScoreRequest::new(
                 &prepared.v_r,
                 pool.encoded(i),
                 self.config.online.precision,
-            );
+            ));
             let score_seconds = t0.elapsed().as_secs_f64();
             let outcome = finish_round(
                 ctx,

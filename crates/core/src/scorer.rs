@@ -1,19 +1,16 @@
 //! The unified scoring surface: one trait, one request type, one fused
 //! dispatcher.
 //!
-//! Historically pool scoring had three entry points on
-//! [`UisClassifier`](crate::classifier::UisClassifier) —
-//! `logits_batch` (exact), `score_pool` (precision-dispatched) and the free
-//! `score_pool_fused_with` (cross-session batch) — each re-implementing the
-//! same block-cutting and parallel-threshold logic. The router, the fused
-//! serving path, and the per-session engine now all speak [`Scorer`] /
-//! [`ScoreRequest`]; the old entry points remain as thin shims so existing
-//! callers keep working (see `classifier.rs`).
+//! Pool scoring has exactly two entry points: [`Scorer::score`] for one
+//! session's pool and [`score_fused_with`] for a cross-session batch. Both
+//! cut rows into the same blocks and run the implementor's serial
+//! [`Scorer::score_block`] kernel on each. The per-point
+//! [`UisClassifier::logit`](crate::classifier::UisClassifier::logit) stays
+//! the training and gradcheck reference.
 //!
 //! Determinism contract: every method here maps each pool row independently
 //! of its block, so outputs are **bit-identical at any worker count** — the
-//! same invariant the serving determinism suite pins for the legacy entry
-//! points.
+//! invariant the serving determinism suite pins.
 
 use crate::config::ScoringPrecision;
 use crate::parallel;
@@ -72,6 +69,22 @@ pub trait Scorer: Sync {
     /// fanned over the shared worker pool in [`PARALLEL_BLOCK_ROWS`]
     /// blocks. Bit-identical to the serial pass at any worker count.
     ///
+    /// ```
+    /// use lte_core::classifier::{ClassifierConfig, UisClassifier};
+    /// use lte_core::config::ScoringPrecision;
+    /// use lte_core::scorer::{ScoreRequest, Scorer};
+    /// use lte_data::rng::seeded;
+    ///
+    /// let cfg = ClassifierConfig { ku: 4, nr: 3, ne: 8, clf_hidden: 8, use_conversion: true };
+    /// let clf = UisClassifier::new(cfg, &mut seeded(0));
+    /// let v_r = vec![1.0, 0.0, 1.0, 0.0];
+    /// let pool = vec![vec![0.1, 0.2, 0.3], vec![0.4, 0.5, 0.6]];
+    /// let logits = clf.score(&ScoreRequest::new(&v_r, &pool, ScoringPrecision::Exact));
+    /// assert_eq!(logits.len(), 2);
+    /// // Exact logits agree with the per-point path on every tuple.
+    /// assert!((logits[0] - clf.logit(&v_r, &pool[0])).abs() < 1e-12);
+    /// ```
+    ///
     /// # Panics
     /// Panics when `req.v_r.len() != self.vr_width()`.
     fn score(&self, req: &ScoreRequest<'_>) -> Vec<f64> {
@@ -94,11 +107,6 @@ pub struct FusedRequest<'a> {
     pub scorer: &'a dyn Scorer,
     /// The session's pool-scoring request.
     pub request: ScoreRequest<'a>,
-}
-
-/// [`score_fused_with`] at the default worker count.
-pub fn score_fused(requests: &[FusedRequest<'_>]) -> Vec<Vec<f64>> {
-    score_fused_with(requests, parallel::default_threads())
 }
 
 /// Score many sessions' pools as **one fused batch** over the shared
@@ -167,21 +175,6 @@ mod tests {
                     .collect()
             })
             .collect()
-    }
-
-    #[test]
-    fn trait_surface_matches_legacy_entry_points() {
-        let c = classifier(0);
-        let v_r = vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0];
-        let rows = pool(37, 1);
-        for precision in [ScoringPrecision::Exact, ScoringPrecision::Fast] {
-            let via_trait = c.score(&ScoreRequest::new(&v_r, &rows, precision));
-            let via_legacy = c.score_pool(&v_r, &rows, precision);
-            assert_eq!(via_trait.len(), via_legacy.len());
-            for (a, b) in via_trait.iter().zip(&via_legacy) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Property tests pinning the reduced-precision scoring contracts against
 //! the `f64` reference (see `ScoringPrecision`): Fast logits must track
 //! Exact logits within the accumulated-round-off tolerance, pool *ranking*
-//! must agree exactly for every pair separated by more than the mode's
-//! noise floor (`f32` round-off for `Fast`, percent-level quantization
-//! error for `Ranked`), the fused kernel epilogue must be **bitwise**
-//! identical to the unfused bias/activation passes, and the row-block
-//! parallel dispatch must be bit-identical to the serial pass at any
-//! worker count.
+//! must agree exactly for every pair separated by more than the `f32`
+//! noise floor, the fused kernel epilogue must be **bitwise** identical to
+//! the unfused bias/activation passes, and the row-block parallel dispatch
+//! must be bit-identical to the serial pass at any worker count.
 
-use lte_core::classifier::{
-    score_pool_fused_with, ClassifierConfig, PoolScoreRequest, UisClassifier,
-};
+use lte_core::classifier::{ClassifierConfig, UisClassifier};
 use lte_core::config::ScoringPrecision;
 use lte_core::parallel::parallel_flat_map_chunks;
+use lte_core::scorer::{
+    score_fused_with, FusedRequest, ScoreRequest, Scorer, PARALLEL_BLOCK_ROWS, PARALLEL_MIN_ROWS,
+};
 use lte_data::rng::seeded;
 use lte_nn::{Activation, Epilogue, Matrix, Matrix32};
 use proptest::prelude::*;
@@ -49,6 +48,16 @@ fn setup(
     (clf, v_r, tuples)
 }
 
+/// Score a whole pool through the public single-session entry point.
+fn score(clf: &UisClassifier, v_r: &[f64], tuples: &[Vec<f64>], p: ScoringPrecision) -> Vec<f64> {
+    clf.score(&ScoreRequest::new(v_r, tuples, p))
+}
+
+/// Raw bit patterns, so equality checks are bitwise.
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Indices of `scores` sorted best-first, ties broken by index so the
 /// order is total.
 fn ranking(scores: &[f64]) -> Vec<usize> {
@@ -77,8 +86,8 @@ proptest! {
         pool in 1usize..96,
     ) {
         let (clf, v_r, tuples) = setup(seed, ku, nr, ne, use_conversion, pool);
-        let exact = clf.score_pool(&v_r, &tuples, ScoringPrecision::Exact);
-        let fast = clf.score_pool(&v_r, &tuples, ScoringPrecision::Fast);
+        let exact = score(&clf, &v_r, &tuples, ScoringPrecision::Exact);
+        let fast = score(&clf, &v_r, &tuples, ScoringPrecision::Fast);
         prop_assert_eq!(exact.len(), fast.len());
         // Per-layer error is ~eps_f32 * k * |activations|; inputs and
         // weights here are O(1), so a generous linear-in-width bound
@@ -107,8 +116,8 @@ proptest! {
         pool in 2usize..128,
     ) {
         let (clf, v_r, tuples) = setup(seed, 6, 5, ne, use_conversion, pool);
-        let exact = clf.score_pool(&v_r, &tuples, ScoringPrecision::Exact);
-        let fast = clf.score_pool(&v_r, &tuples, ScoringPrecision::Fast);
+        let exact = score(&clf, &v_r, &tuples, ScoringPrecision::Exact);
+        let fast = score(&clf, &v_r, &tuples, ScoringPrecision::Fast);
         let noise_floor = 1e-5 * (ne as f64)
             * exact.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
         let exact_rank = ranking(&exact);
@@ -135,9 +144,10 @@ proptest! {
 
     /// Row-block chunked scoring is bit-identical to the serial pass at
     /// every block size and worker count, for both precisions. The public
-    /// `score_pool` only parallelizes beyond `PARALLEL_MIN_ROWS`, so this
-    /// drives the chunked path directly through `parallel_flat_map_chunks`
-    /// with forced thread counts (the CI container may expose one core).
+    /// `Scorer::score` only parallelizes beyond `PARALLEL_MIN_ROWS`, so
+    /// this drives the `score_block` kernel directly through
+    /// `parallel_flat_map_chunks` with forced thread counts (the CI
+    /// container may expose one core).
     #[test]
     fn chunked_scoring_is_bitwise_serial(
         seed in 0u64..200,
@@ -148,23 +158,13 @@ proptest! {
         threads in 1usize..5,
     ) {
         let (clf, v_r, tuples) = setup(seed, 5, 4, ne, use_conversion, pool);
-        let serial_exact = clf.logits_batch(&v_r, &tuples);
-        let chunked_exact = parallel_flat_map_chunks(&tuples, block, threads, |chunk| {
-            clf.logits_batch(&v_r, chunk)
-        });
-        prop_assert_eq!(&serial_exact, &chunked_exact);
-        let serial_fast = clf.logits_batch_f32(&v_r, &tuples);
-        let chunked_fast = parallel_flat_map_chunks(&tuples, block, threads, |chunk| {
-            clf.logits_batch_f32(&v_r, chunk)
-        });
-        prop_assert_eq!(&serial_fast, &chunked_fast);
-        // Ranked: quantization scales are row-local and integer k-sums
-        // exact, so chunking cannot move a bit either.
-        let serial_ranked = clf.logits_batch_ranked(&v_r, &tuples);
-        let chunked_ranked = parallel_flat_map_chunks(&tuples, block, threads, |chunk| {
-            clf.logits_batch_ranked(&v_r, chunk)
-        });
-        prop_assert_eq!(&serial_ranked, &chunked_ranked);
+        for precision in [ScoringPrecision::Exact, ScoringPrecision::Fast] {
+            let serial = clf.score_block(&v_r, &tuples, precision);
+            let chunked = parallel_flat_map_chunks(&tuples, block, threads, |chunk| {
+                clf.score_block(&v_r, chunk, precision)
+            });
+            prop_assert_eq!(bits(&serial), bits(&chunked));
+        }
     }
 
     /// The fused kernel epilogue (`matmul_nt_ep` with bias + activation)
@@ -205,76 +205,6 @@ proptest! {
             );
         }
     }
-
-    /// Ranked (i8) logits track Exact (f64) logits within the quantization
-    /// error budget. Per-row absmax quantization loses ~1/254 of each
-    /// row's dynamic range per operand; composed over the classifier's
-    /// quantized stages the worst observed deviation is ~4% of the pool's
-    /// logit scale (measured across 480 seed/shape combinations), so 10%
-    /// catches real kernel bugs with >2x headroom.
-    #[test]
-    fn ranked_logits_track_exact_within_quant_budget(
-        seed in 0u64..500,
-        ku in 2usize..12,
-        nr in 2usize..12,
-        ne in 4usize..24,
-        use_conversion in proptest::bool::ANY,
-        pool in 1usize..96,
-    ) {
-        let (clf, v_r, tuples) = setup(seed, ku, nr, ne, use_conversion, pool);
-        let exact = clf.score_pool(&v_r, &tuples, ScoringPrecision::Exact);
-        let ranked = clf.score_pool(&v_r, &tuples, ScoringPrecision::Ranked);
-        prop_assert_eq!(exact.len(), ranked.len());
-        let scale = exact.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-        for (i, (&e, &r)) in exact.iter().zip(&ranked).enumerate() {
-            prop_assert!(
-                (e - r).abs() <= 0.1 * scale,
-                "logit {} outside quant budget: exact {} vs ranked {} (scale {})",
-                i, e, r, scale
-            );
-        }
-    }
-
-    /// Pool ranking agrees between Exact and Ranked for every pair of
-    /// points separated by more than the quantization noise floor — the
-    /// `Ranked` mode's whole contract is argmax-order fidelity above that
-    /// floor. The floor is 20% of the pool's logit scale: ~4.5x the worst
-    /// deviation observed per logit (see the tracking test above), i.e.
-    /// >2x the worst possible pairwise error.
-    #[test]
-    fn ranked_ranking_matches_exact_above_quant_noise_floor(
-        seed in 0u64..500,
-        ne in 4usize..20,
-        use_conversion in proptest::bool::ANY,
-        pool in 2usize..128,
-    ) {
-        let (clf, v_r, tuples) = setup(seed, 6, 5, ne, use_conversion, pool);
-        let exact = clf.score_pool(&v_r, &tuples, ScoringPrecision::Exact);
-        let ranked = clf.score_pool(&v_r, &tuples, ScoringPrecision::Ranked);
-        let noise_floor = 0.2 * exact.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-        let exact_rank = ranking(&exact);
-        let ranked_rank = ranking(&ranked);
-        let mut ranked_pos = vec![0usize; pool];
-        for (pos, &i) in ranked_rank.iter().enumerate() {
-            ranked_pos[i] = pos;
-        }
-        // Any inversion between points whose Exact logits differ by more
-        // than the floor is a real bug; closer pairs may swap — that is
-        // the documented contract.
-        for (a_pos, &hi) in exact_rank.iter().enumerate() {
-            for &lo in &exact_rank[a_pos + 1..] {
-                let gap = exact[hi] - exact[lo];
-                if gap > noise_floor {
-                    prop_assert!(
-                        ranked_pos[hi] < ranked_pos[lo],
-                        "rank inversion beyond quant floor: point {} (logit {}) \
-                         ranked below point {} (logit {}), gap {} > floor {}",
-                        hi, exact[hi], lo, exact[lo], gap, noise_floor
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Regression (serving bugfix sweep): the parallel-dispatch threshold of a
@@ -283,10 +213,10 @@ proptest! {
 /// `PARALLEL_MIN_ROWS` individually but straddle it together; at every
 /// boundary total (2047/2048/2049 for the shipped constant) the fused
 /// scores must be bitwise identical to each request's own serial
-/// `score_pool` — i.e. crossing the threshold changes scheduling only.
+/// `Scorer::score` — i.e. crossing the threshold changes scheduling only.
 #[test]
 fn fused_threshold_counts_fused_rows_at_the_boundary() {
-    let min = UisClassifier::PARALLEL_MIN_ROWS;
+    let min = PARALLEL_MIN_ROWS;
     for total in [min - 1, min, min + 1] {
         let sizes = [total / 3, total / 3, total - 2 * (total / 3)];
         let precisions = [
@@ -299,23 +229,20 @@ fn fused_threshold_counts_fused_rows_at_the_boundary() {
             .enumerate()
             .map(|(i, &n)| setup(300 + i as u64, 5, 4, 8, i % 2 == 0, n))
             .collect();
-        let requests: Vec<PoolScoreRequest<'_>> = setups
+        let requests: Vec<FusedRequest<'_>> = setups
             .iter()
             .zip(&precisions)
-            .map(|((clf, v_r, tuples), &precision)| PoolScoreRequest {
-                classifier: clf,
-                v_r,
-                rows: tuples,
-                precision,
+            .map(|((clf, v_r, tuples), &precision)| FusedRequest {
+                scorer: clf,
+                request: ScoreRequest::new(v_r, tuples, precision),
             })
             .collect();
         // Forced threads > 1: on a single-core CI box `default_threads()`
         // is 1 and the parallel path above the threshold would never run.
-        let fused = score_pool_fused_with(&requests, 4);
+        let fused = score_fused_with(&requests, 4);
         assert_eq!(fused.len(), 3);
         for (((clf, v_r, tuples), &precision), got) in setups.iter().zip(&precisions).zip(&fused) {
-            let solo = clf.score_pool(v_r, tuples, precision);
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let solo = score(clf, v_r, tuples, precision);
             assert_eq!(
                 bits(&solo),
                 bits(got),
@@ -325,22 +252,26 @@ fn fused_threshold_counts_fused_rows_at_the_boundary() {
     }
 }
 
-/// A pool large enough to cross `PARALLEL_MIN_ROWS` still matches a pool
-/// scored through the internal serial block path (exercised per-chunk),
-/// proving the public dispatch threshold changes nothing but scheduling.
+/// A pool large enough to cross `PARALLEL_MIN_ROWS` scores the same
+/// through `Scorer::score` (parallel on a multi-core host), through a
+/// forced 4-worker `score_fused_with`, and through a serial pass of the
+/// `score_block` kernel over `PARALLEL_BLOCK_ROWS` chunks, proving the
+/// public dispatch threshold changes nothing but scheduling.
 #[test]
 fn large_pool_parallel_dispatch_is_bitwise_serial() {
-    let (clf, v_r, tuples) = setup(7, 6, 5, 8, true, UisClassifier::PARALLEL_MIN_ROWS + 123);
-    let whole = clf.logits_batch(&v_r, &tuples);
-    // Reference: explicit 1-thread chunking at the same block size.
-    let reference =
-        parallel_flat_map_chunks(&tuples, 1024, 1, |chunk| clf.logits_batch(&v_r, chunk));
-    assert_eq!(whole, reference);
-    let fast = clf.score_pool(&v_r, &tuples, ScoringPrecision::Fast);
-    let fast_ref: Vec<f64> =
-        parallel_flat_map_chunks(&tuples, 1024, 1, |chunk| clf.logits_batch_f32(&v_r, chunk))
-            .into_iter()
-            .map(f64::from)
+    let (clf, v_r, tuples) = setup(7, 6, 5, 8, true, PARALLEL_MIN_ROWS + 123);
+    for precision in [ScoringPrecision::Exact, ScoringPrecision::Fast] {
+        let reference: Vec<f64> = tuples
+            .chunks(PARALLEL_BLOCK_ROWS)
+            .flat_map(|chunk| clf.score_block(&v_r, chunk, precision))
             .collect();
-    assert_eq!(fast, fast_ref);
+        let whole = score(&clf, &v_r, &tuples, precision);
+        assert_eq!(bits(&whole), bits(&reference), "{precision:?}");
+        let request = FusedRequest {
+            scorer: &clf,
+            request: ScoreRequest::new(&v_r, &tuples, precision),
+        };
+        let fused = score_fused_with(&[request], 4);
+        assert_eq!(bits(&fused[0]), bits(&reference), "{precision:?}");
+    }
 }

@@ -4,7 +4,6 @@ use crate::activation::Activation;
 use crate::init;
 use crate::matrix::Matrix;
 use crate::matrix32::{Epilogue, Matrix32};
-use crate::qmatmul;
 use rand::Rng;
 
 /// A dense layer `z = W·x + b` with `W: out × in`.
@@ -112,22 +111,6 @@ impl Dense {
         let w32 = Matrix32::from_f64(&self.w);
         let b32: Vec<f32> = self.b.iter().map(|&v| v as f32).collect();
         x.matmul_nt_ep(&w32, Epilogue::new(&b32, act))
-    }
-
-    /// i8-quantized batched forward pass (the `Ranked` scoring mode):
-    /// both the input batch and the demoted weights are dynamically
-    /// quantized per row (absmax scale), multiplied with exact `i32`
-    /// accumulation, and dequantized through the fused `f32` epilogue
-    /// (`act(dequant + b)`). Valid for **argmax-order ranking only** —
-    /// see [`lte_nn::qmatmul`](crate::qmatmul) for the contract.
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != in_dim()`.
-    pub fn forward_batch_ranked(&self, x: &Matrix32, act: Activation) -> Matrix32 {
-        assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
-        let w32 = Matrix32::from_f64(&self.w);
-        let b32: Vec<f32> = self.b.iter().map(|&v| v as f32).collect();
-        qmatmul::matmul_nt_ranked(x, &w32, Epilogue::new(&b32, act))
     }
 
     /// Backward pass. Given `dL/dz` and the cached input `x`, accumulates

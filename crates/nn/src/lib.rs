@@ -28,7 +28,6 @@ pub mod matrix;
 pub mod matrix32;
 pub mod mlp;
 pub mod optimizer;
-pub mod qmatmul;
 
 pub use activation::Activation;
 pub use dense::Dense;
@@ -36,4 +35,3 @@ pub use matrix::Matrix;
 pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
 pub use mlp::{Mlp, MlpCache};
 pub use optimizer::{Adam, Sgd};
-pub use qmatmul::{matmul_nt_ranked, QuantizedMat};

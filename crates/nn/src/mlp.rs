@@ -192,28 +192,6 @@ impl Mlp {
         cur.expect("an MLP has at least one layer")
     }
 
-    /// i8-quantized batched forward pass (the `Ranked` scoring mode):
-    /// every layer runs [`Dense::forward_batch_ranked`] — per-row absmax
-    /// dynamic quantization of activations and weights, exact `i32`
-    /// accumulation, fused dequant + bias + activation epilogue. Outputs
-    /// are valid for **argmax-order ranking only**; quantization error is
-    /// far outside the `f32` noise floor (see
-    /// [`lte_nn::qmatmul`](crate::qmatmul) for the contract). Each output
-    /// row depends only on its own input row (row-local scales), so
-    /// block-parallel dispatch stays bitwise deterministic.
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != in_dim()`.
-    pub fn forward_batch_ranked(&self, x: &Matrix32) -> Matrix32 {
-        assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
-        let mut cur = None;
-        for (layer, act) in self.layers.iter().zip(&self.acts) {
-            let z = layer.forward_batch_ranked(cur.as_ref().unwrap_or(x), *act);
-            cur = Some(z);
-        }
-        cur.expect("an MLP has at least one layer")
-    }
-
     /// Forward pass retaining the per-layer state needed by
     /// [`Mlp::backward`].
     pub fn forward_cache(&self, x: &[f64]) -> MlpCache {

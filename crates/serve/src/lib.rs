@@ -24,7 +24,7 @@
 //!   batch, reported per cohort by [`ScenarioReport`],
 //! * [`ScoringService`] — the cross-session batched path: sessions from
 //!   all shards advance in ticks, every tick's pool-scoring requests fuse
-//!   into one wide [`lte_core::classifier::score_pool_fused`] call, and
+//!   into one wide [`lte_core::scorer::score_fused_with`] call, and
 //!   each shard's encoded pool is cached per pipeline epoch instead of
 //!   rebuilt per session per round. Admission is asynchronous
 //!   ([`AdmissionQueue`]: submit never occupies a worker) and the served

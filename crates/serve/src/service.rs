@@ -2,11 +2,12 @@
 //!
 //! The per-session engine ([`SessionEngine::run_sessions`]) runs each
 //! session end to end on one worker: every round re-encodes the retrieval
-//! pool and issues its own small `score_pool` call. At serving scale (64+
-//! concurrent sessions over the same pool) that shape wastes the batch
-//! structure twice — the pool is projected and encoded once *per session
-//! per round*, and the matmul-heavy scoring runs as many narrow calls
-//! instead of one wide one.
+//! pool and issues its own small
+//! [`Scorer::score`](lte_core::scorer::Scorer::score) call. At serving
+//! scale (64+ concurrent sessions over the same pool) that shape wastes
+//! the batch structure twice — the pool is projected and encoded once
+//! *per session per round*, and the matmul-heavy scoring runs as many
+//! narrow calls instead of one wide one.
 //!
 //! The service inverts the loop. Time advances in **ticks**; each tick:
 //!
@@ -21,9 +22,9 @@
 //!    session ([`lte_core::explore::prepare_round`]) across the worker
 //!    pool.
 //! 4. **score** — fuse every session's pool-scoring request into a single
-//!    [`lte_core::classifier::score_pool_fused_with`] call. Scores are
-//!    bit-identical to the per-session calls (row independence), so fusing
-//!    is invisible to outcomes.
+//!    [`score_fused_with`] call. Scores are bit-identical to the
+//!    per-session calls (row independence), so fusing is invisible to
+//!    outcomes.
 //! 5. **finish** — predictions, `Meta*` revision, per-subspace bookkeeping
 //!    ([`lte_core::explore::finish_round`]).
 //! 6. **drain** — sessions whose last subspace finished emit a
@@ -41,13 +42,13 @@ use crate::admission::{AdmissionQueue, AdmissionState};
 use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
 use crate::stats::ThroughputStats;
 use crate::swap::SwapCell;
-use lte_core::classifier::{score_pool_fused_with, PoolScoreRequest};
 use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
 use lte_core::metrics::ConfusionMatrix;
 use lte_core::oracle::RegionOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, UirOutcome};
 use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
+use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
 use std::sync::Arc;
 use std::time::Instant;
@@ -329,22 +330,6 @@ impl ScoringService {
     /// count, capacity, shards, and routed groups before construction.
     pub fn builder() -> ScoringServiceBuilder {
         ScoringServiceBuilder::default()
-    }
-
-    /// A service with unbounded admission: every submitted session joins
-    /// the next tick's batch. Shim over [`ScoringService::builder`].
-    pub fn new(workers: usize) -> Self {
-        Self::builder().workers(workers).build()
-    }
-
-    /// A service admitting at most `max_active` concurrent sessions;
-    /// further submissions park (FIFO) without occupying a worker. Shim
-    /// over [`ScoringService::builder`].
-    pub fn with_capacity(workers: usize, max_active: usize) -> Self {
-        Self::builder()
-            .workers(workers)
-            .capacity(max_active)
-            .build()
     }
 
     /// The worker count in force.
@@ -632,23 +617,25 @@ impl ScoringService {
             });
 
         // (4) One fused scoring call for every session's pool request.
-        let requests: Vec<PoolScoreRequest<'_>> = prepared
+        let requests: Vec<FusedRequest<'_>> = prepared
             .iter()
             .map(|(idx, p)| {
                 let s = &active[*idx];
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
-                PoolScoreRequest {
-                    classifier: &p.classifier,
-                    v_r: &p.v_r,
-                    rows: cache.pool.encoded(s.round),
-                    precision: cache.pipeline.config().online.precision,
+                FusedRequest {
+                    scorer: &p.classifier,
+                    request: ScoreRequest::new(
+                        &p.v_r,
+                        cache.pool.encoded(s.round),
+                        cache.pipeline.config().online.precision,
+                    ),
                 }
             })
             .collect();
         let fused_requests = requests.len();
-        let fused_rows: usize = requests.iter().map(|r| r.rows.len()).sum();
+        let fused_rows: usize = requests.iter().map(|r| r.request.rows.len()).sum();
         let t0 = Instant::now();
-        let scores = score_pool_fused_with(&requests, self.workers);
+        let scores = score_fused_with(&requests, self.workers);
         let score_seconds = t0.elapsed().as_secs_f64();
         drop(requests);
 
@@ -860,7 +847,7 @@ impl SessionEngine {
         eval_rows: &[Vec<f64>],
     ) -> (Vec<SessionOutcome>, ThroughputStats) {
         let t0 = Instant::now();
-        let mut service = ScoringService::new(self.workers());
+        let mut service = ScoringService::builder().workers(self.workers()).build();
         service.add_shard("default", self.shared_pipeline(), eval_rows.to_vec());
         for req in requests {
             service.submit("default", req);
@@ -906,7 +893,7 @@ mod tests {
         let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
         let requests = engine.simulate_requests(3, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7);
 
-        let mut service = ScoringService::with_capacity(1, 2);
+        let mut service = ScoringService::builder().workers(1).capacity(2).build();
         service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
         assert_eq!(
             service.submit("sdss", requests[0].clone()),
@@ -982,7 +969,7 @@ mod tests {
             .simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7)
             .pop()
             .unwrap();
-        let mut service = ScoringService::new(1);
+        let mut service = ScoringService::builder().workers(1).build();
         service.add_shard("sdss", pipeline, pool);
         service.submit("cars", req);
     }

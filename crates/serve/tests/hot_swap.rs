@@ -47,7 +47,7 @@ fn run_swapped(
     eval_rows: &[Vec<f64>],
     workers: usize,
 ) -> Vec<ServiceOutcome> {
-    let mut service = ScoringService::new(workers);
+    let mut service = ScoringService::builder().workers(workers).build();
     let shard = service.add_shard("sdss", Arc::clone(a), eval_rows.to_vec());
     let handle = service.swap_handle(shard);
     for req in requests {
@@ -135,7 +135,7 @@ fn concurrent_swapper_never_tears_a_round() {
     let engine = SessionEngine::with_workers(Arc::clone(&a), 1);
     let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 55);
 
-    let mut service = ScoringService::new(2);
+    let mut service = ScoringService::builder().workers(2).build();
     let shard = service.add_shard("sdss", Arc::clone(&a), eval_rows.clone());
     let handle = service.swap_handle(shard);
     for req in requests.clone() {

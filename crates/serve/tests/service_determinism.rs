@@ -9,6 +9,7 @@
 use lte_core::config::{LteConfig, ScoringPrecision};
 use lte_core::explore::Variant;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
+use lte_core::scorer::PARALLEL_MIN_ROWS;
 use lte_core::uis::UisMode;
 use lte_data::generator::{generate_car, generate_sdss};
 use lte_data::subspace::decompose_sequential;
@@ -94,7 +95,10 @@ fn service_outcomes_are_identical_at_one_and_four_workers() {
     let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 7);
 
     let run = |workers: usize| {
-        let mut service = ScoringService::with_capacity(workers, 3);
+        let mut service = ScoringService::builder()
+            .workers(workers)
+            .capacity(3)
+            .build();
         service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
         for req in requests.clone() {
             service.submit("sdss", req);
@@ -120,40 +124,56 @@ fn service_outcomes_are_identical_at_one_and_four_workers() {
 }
 
 #[test]
-fn ranked_precision_serves_deterministically_across_worker_counts() {
-    // `ScoringPrecision::Ranked` flows from the pipeline config straight
-    // through the service's fused scoring path (no serve-side switch), so
-    // the worker-sweep determinism contract must hold for it too.
+fn fast_precision_serves_deterministically_across_worker_counts() {
+    // `ScoringPrecision::Fast` (the precision serving deployments run)
+    // flows from the pipeline config straight through the service's fused
+    // scoring path (no serve-side switch), so the worker-sweep determinism
+    // contract must hold for it too. 8 sessions × 300 rows fuse to 2 400
+    // rows per tick, past the parallel threshold, so 4 workers really
+    // score the `f32` blocks in parallel.
     let table = generate_sdss(3000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
     let mut cfg = LteConfig::reduced();
     cfg.train.n_tasks = 60;
     cfg.train.epochs = 1;
-    cfg.online.precision = ScoringPrecision::Ranked;
+    cfg.online.precision = ScoringPrecision::Fast;
     let (pipeline, _) = LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, 11);
     let pipeline = Arc::new(pipeline);
 
     let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
-    let requests = engine.simulate_requests(6, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 23);
+    let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 23);
 
     let run = |workers: usize| {
-        let mut service = ScoringService::new(workers);
+        let mut service = ScoringService::builder().workers(workers).build();
         service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
         for req in requests.clone() {
             service.submit("sdss", req);
         }
-        service.run_until_idle();
-        service.take_completed()
+        let reports = service.run_until_idle();
+        (reports, service.take_completed())
     };
-    let done_1 = run(1);
-    let done_4 = run(4);
-    assert_eq!(done_1.len(), 6);
+    let (reports_1, done_1) = run(1);
+    let (reports_4, done_4) = run(4);
+    assert_eq!(reports_1, reports_4, "tick schedules diverged");
+    assert!(reports_4[0].fused_rows >= PARALLEL_MIN_ROWS);
+    assert_eq!(done_1.len(), 8);
     for (a, b) in done_1.iter().zip(&done_4) {
         assert_eq!(
             service_bytes(a),
             service_bytes(b),
-            "ranked session {} diverged between 1 and 4 workers",
+            "fast session {} diverged between 1 and 4 workers",
             a.id
+        );
+    }
+    // Fused `Fast` scoring is bit-identical to the per-session path too.
+    for o in &done_4 {
+        let req = requests.iter().find(|r| r.id == o.id).unwrap();
+        let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
+        assert_eq!(
+            outcome_bytes(&solo),
+            outcome_bytes(&o.outcome),
+            "fast session {} diverged from its solo run",
+            o.id
         );
     }
 }
@@ -165,7 +185,10 @@ fn admission_capacity_never_changes_outcomes() {
     let requests = engine.simulate_requests(7, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 19);
 
     let run = |max_active: usize| {
-        let mut service = ScoringService::with_capacity(1, max_active);
+        let mut service = ScoringService::builder()
+            .workers(1)
+            .capacity(max_active)
+            .build();
         service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
         for req in requests.clone() {
             service.submit("sdss", req);
@@ -210,7 +233,7 @@ fn sharded_service_matches_each_pipeline_solo() {
 
     // One service, both datasets, submissions interleaved — each tick's
     // fused call spans both shards.
-    let mut service = ScoringService::new(2);
+    let mut service = ScoringService::builder().workers(2).build();
     service.add_shard("sdss", Arc::clone(&sdss), sdss_pool.clone());
     service.add_shard("car", Arc::clone(&car), car_pool.clone());
     for (s, c) in sdss_reqs.iter().zip(&car_reqs) {

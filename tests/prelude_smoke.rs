@@ -97,14 +97,10 @@ fn prelude_smoke_tiny_workflow() {
 
 #[test]
 fn prelude_kernel_surface_is_coherent() {
-    // Every scoring precision — including the ranking-only quantized
-    // mode — is nameable from the prelude, and the detected kernel is one
-    // the host actually supports with a matching feature string.
-    let _ = [
-        ScoringPrecision::Exact,
-        ScoringPrecision::Fast,
-        ScoringPrecision::Ranked,
-    ];
+    // Every scoring precision is nameable from the prelude, and the
+    // detected kernel is one the host actually supports with a matching
+    // feature string.
+    let _ = [ScoringPrecision::Exact, ScoringPrecision::Fast];
     let kind = KernelKind::detect();
     assert!(kind.supported());
     let features = cpu_features();
