@@ -700,27 +700,46 @@ mod tests {
         assert!(msg.contains("reads version 3 only"), "{msg}");
     }
 
-    /// Only v3 loads: older version bytes are refused rather than decoded
-    /// with today's layout, a precision byte outside `{0, 1}` is
-    /// corruption, and a `Fast` pipeline round-trips its precision.
+    /// A version-1 file is refused rather than decoded with today's
+    /// layout: this build reads version 3 only.
     #[test]
-    fn only_v3_loads_and_fast_precision_round_trips() {
+    fn v1_file_is_refused_as_unsupported_version() {
+        let (p, _) = trained_pipeline();
+        let mut bytes = pipeline_to_bytes(&p);
+        assert_eq!(bytes[4], FORMAT_VERSION, "version byte");
+        bytes[4] = 1;
+        assert_eq!(
+            pipeline_from_bytes(&bytes).unwrap_err(),
+            PersistError::UnsupportedVersion(1)
+        );
+    }
+
+    /// A version-2 file is refused rather than decoded with today's
+    /// layout: this build reads version 3 only.
+    #[test]
+    fn v2_file_is_refused_as_unsupported_version() {
+        let (p, _) = trained_pipeline();
+        let mut bytes = pipeline_to_bytes(&p);
+        assert_eq!(bytes[4], FORMAT_VERSION, "version byte");
+        bytes[4] = 2;
+        assert_eq!(
+            pipeline_from_bytes(&bytes).unwrap_err(),
+            PersistError::UnsupportedVersion(2)
+        );
+    }
+
+    /// A `Fast` pipeline round-trips its precision, and a precision byte
+    /// outside `{0, 1}` is corruption, not a mode.
+    #[test]
+    fn v3_round_trips_fast_precision_and_refuses_unknown_precision() {
         let (mut p, _) = trained_pipeline();
         let exact = pipeline_to_bytes(&p);
-        assert_eq!(exact[4], FORMAT_VERSION, "version byte");
-        for old in [1, 2] {
-            let mut bytes = exact.clone();
-            bytes[4] = old;
-            assert_eq!(
-                pipeline_from_bytes(&bytes).unwrap_err(),
-                PersistError::UnsupportedVersion(old)
-            );
-        }
 
         let mut online = p.config().online.clone();
         online.precision = ScoringPrecision::Fast;
         p.set_online(online);
         let fast = pipeline_to_bytes(&p);
+        assert_eq!(fast[4], FORMAT_VERSION, "version byte");
         let loaded = pipeline_from_bytes(&fast).expect("v3 must load");
         assert_eq!(loaded.config().online.precision, ScoringPrecision::Fast);
 
