@@ -15,6 +15,7 @@
 //! locally fine-tuned by backpropagation together with θ (§VI-B).
 
 use lte_nn::loss::bce_with_logits;
+use lte_nn::matrix::l1_block_rows_sized;
 use lte_nn::{Activation, Epilogue, Matrix, Matrix32, Mlp, MlpCache};
 use rand::Rng;
 
@@ -253,38 +254,58 @@ impl UisClassifier {
 
     /// Serial `f32` scoring of one row block: same algebra as
     /// [`UisClassifier::logits_block`], with the pool-constant pieces
-    /// (UIS embedding, conversion split) computed once in `f64` and
-    /// demoted, and every per-tuple matmul on the `f32` kernels
-    /// ([`Mlp::forward_batch_f32`]).
+    /// (UIS embedding, conversion split, every layer's demoted weights)
+    /// computed once per block, and the per-tuple matmuls run on the `f32`
+    /// kernels one row tile at a time ([`UisClassifier::fast_tile_rows`]).
+    /// Tiling keeps every temporary in L1 and well under the allocator's
+    /// mmap threshold; a row's logit does not depend on its tile.
     fn logits_block_f32(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
-        let x = Matrix32::from_rows(tuples, self.cfg.nr);
         let r_emb = self.r_block.forward(v_r);
-        let t_emb = self.t_block.forward_batch_f32(&x);
+        let t_block = self.t_block.to_f32();
+        let clf_block = self.clf_block.to_f32();
         let ne = self.cfg.ne;
-
-        let clf_in = match &self.conversion {
+        // The demoted pool constant: `r_const = Mcp_L·embR` beside `Mcp_R`
+        // with conversion, otherwise `embR`, which heads every
+        // concatenated row.
+        let (row_const, mcp_right) = match &self.conversion {
             Some(mcp) => {
                 let (r_const, mcp_right) = self.split_conversion(mcp, &r_emb);
-                let r_const32: Vec<f32> = r_const.iter().map(|&v| v as f32).collect();
+                (r_const, Some(Matrix32::from_f64(&mcp_right)))
+            }
+            None => (r_emb, None),
+        };
+        let row_const: Vec<f32> = row_const.iter().map(|&v| v as f32).collect();
+
+        let mut logits = Vec::with_capacity(tuples.len());
+        for tile in tuples.chunks(self.fast_tile_rows()) {
+            let t_emb = t_block.forward_batch(&Matrix32::from_rows(tile, self.cfg.nr));
+            let clf_in = match &mcp_right {
                 // The pool-constant `r_const` rides the kernel epilogue
                 // instead of a second full pass over the product.
-                t_emb.matmul_nt_ep(
-                    &Matrix32::from_f64(&mcp_right),
-                    Epilogue::bias_only(&r_const32),
-                )
-            }
-            None => {
-                let r_emb32: Vec<f32> = r_emb.iter().map(|&v| v as f32).collect();
-                let mut concat = Matrix32::zeros(tuples.len(), 2 * ne);
-                for r in 0..tuples.len() {
-                    let row = concat.row_mut(r);
-                    row[..ne].copy_from_slice(&r_emb32);
-                    row[ne..].copy_from_slice(t_emb.row(r));
+                Some(mcp_right) => t_emb.matmul_nt_ep(mcp_right, Epilogue::bias_only(&row_const)),
+                None => {
+                    let mut concat = Matrix32::zeros(tile.len(), 2 * ne);
+                    for r in 0..tile.len() {
+                        let row = concat.row_mut(r);
+                        row[..ne].copy_from_slice(&row_const);
+                        row[ne..].copy_from_slice(t_emb.row(r));
+                    }
+                    concat
                 }
-                concat
-            }
-        };
-        self.clf_block.forward_batch_f32(&clf_in).data().to_vec()
+            };
+            logits.extend_from_slice(clf_block.forward_batch(&clf_in).data());
+        }
+        logits
+    }
+
+    /// Rows per `Fast` scoring tile: as many as keep the widest per-tile
+    /// temporary (input, embedding, classifier input or hidden layer) of
+    /// `f32`s within the 32 KiB L1 budget the kernels tile by — 256 rows
+    /// at `ne = 32` with conversion.
+    fn fast_tile_rows(&self) -> usize {
+        let cfg = &self.cfg;
+        let widest = cfg.nr.max(cfg.ne).max(cfg.clf_input()).max(cfg.clf_hidden);
+        l1_block_rows_sized(widest, 8, std::mem::size_of::<f32>())
     }
 
     /// Split the conversion `Mcp·[embR | embτ]` into the pool-constant

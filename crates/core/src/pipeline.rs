@@ -25,6 +25,7 @@ use crate::uis::{generate_uis, UisMode};
 use lte_data::rng::{derive_seed, seeded};
 use lte_data::subspace::Subspace;
 use lte_data::table::Table;
+use lte_geom::RegionUnion;
 use std::time::Instant;
 
 /// Timing and quality report of the offline phase.
@@ -98,6 +99,81 @@ impl UirOutcome {
             scored.truncate(k);
         }
         scored
+    }
+}
+
+/// One round's ground truth over the pool: which projected pool rows the
+/// round's ground-truth region contains, and the round's per-subspace F1
+/// against them. A pure function of its inputs, so the serving engine
+/// computes it inside each round's parallel finish job.
+#[derive(Debug, Clone)]
+pub struct RoundTruth {
+    mask: Vec<bool>,
+    f1: f64,
+}
+
+impl RoundTruth {
+    /// Test each projected pool row against `region` once and score the
+    /// round's `predictions` (one per row) against the result.
+    pub fn evaluate(region: &RegionUnion, proj: &[Vec<f64>], predictions: &[bool]) -> Self {
+        let mask: Vec<bool> = proj.iter().map(|row| region.contains(row)).collect();
+        let f1 =
+            ConfusionMatrix::from_pairs(predictions.iter().copied().zip(mask.iter().copied())).f1();
+        Self { mask, f1 }
+    }
+}
+
+/// Folds an exploration's rounds into its [`UirOutcome`]. Predictions and
+/// ground truth are both AND-ed over the rounds, one flag per pool row,
+/// so the conjunctive confusion needs no second pass over the full rows.
+/// This equals labelling every row with [`ConjunctiveOracle::label`]
+/// because the truth's subspaces are the pipeline's, which
+/// [`LtePipeline::explore_with_pool`] and the serving engine both require.
+#[derive(Debug, Clone)]
+pub struct UirTally {
+    pred: Vec<bool>,
+    truth: Vec<bool>,
+    per_subspace_f1: Vec<f64>,
+    online_seconds: f64,
+    subspace_outcomes: Vec<ExploreOutcome>,
+}
+
+impl UirTally {
+    /// An empty tally over a pool of `rows` rows.
+    pub fn new(rows: usize) -> Self {
+        Self {
+            pred: vec![true; rows],
+            truth: vec![true; rows],
+            per_subspace_f1: Vec::new(),
+            online_seconds: 0.0,
+            subspace_outcomes: Vec::new(),
+        }
+    }
+
+    /// Fold in one finished round and its ground truth.
+    pub fn push(&mut self, outcome: ExploreOutcome, truth: RoundTruth) {
+        for (p, &q) in self.pred.iter_mut().zip(&outcome.predictions) {
+            *p &= q;
+        }
+        for (t, &q) in self.truth.iter_mut().zip(&truth.mask) {
+            *t &= q;
+        }
+        self.per_subspace_f1.push(truth.f1);
+        self.online_seconds += outcome.online_seconds;
+        self.subspace_outcomes.push(outcome);
+    }
+
+    /// The exploration's outcome, with `labels_used` labels consumed.
+    pub fn finish(self, labels_used: usize) -> UirOutcome {
+        let confusion =
+            ConfusionMatrix::from_pairs(self.pred.iter().copied().zip(self.truth.iter().copied()));
+        UirOutcome {
+            confusion,
+            per_subspace_f1: self.per_subspace_f1,
+            online_seconds: self.online_seconds,
+            labels_used,
+            subspace_outcomes: self.subspace_outcomes,
+        }
     }
 }
 
@@ -354,17 +430,15 @@ impl LtePipeline {
             self.subspaces.len(),
             "one ground-truth region per subspace required"
         );
+        assert!(
+            truth.parts().iter().map(|(sub, _)| sub).eq(&self.subspaces),
+            "ground-truth subspaces must match the pipeline's decomposition"
+        );
         assert_eq!(pool.rows(), eval_rows.len(), "pool/eval row count mismatch");
-        let mut subspace_outcomes = Vec::with_capacity(self.subspaces.len());
-        let mut per_subspace_f1 = Vec::with_capacity(self.subspaces.len());
-        let mut online_seconds = 0.0;
-
-        // Conjunctive predictions start all-true and are AND-ed per subspace.
-        let mut uir_pred = vec![true; eval_rows.len()];
+        let mut tally = UirTally::new(eval_rows.len());
 
         for (i, ctx) in self.contexts.iter().enumerate() {
-            let (sub, region) = &truth.parts()[i];
-            debug_assert_eq!(sub, &self.subspaces[i]);
+            let (_, region) = &truth.parts()[i];
             let oracle = RegionOracle::new(region.clone());
 
             let learner = match variant {
@@ -395,37 +469,10 @@ impl LtePipeline {
                 variant,
                 score_seconds,
             );
-            online_seconds += outcome.online_seconds;
-
-            let sub_confusion = ConfusionMatrix::from_pairs(
-                outcome
-                    .predictions
-                    .iter()
-                    .zip(pool.proj(i))
-                    .map(|(&pred, row)| (pred, region.contains(row))),
-            );
-            per_subspace_f1.push(sub_confusion.f1());
-
-            for (pred, sub_pred) in uir_pred.iter_mut().zip(&outcome.predictions) {
-                *pred &= sub_pred;
-            }
-            subspace_outcomes.push(outcome);
+            let round_truth = RoundTruth::evaluate(region, pool.proj(i), &outcome.predictions);
+            tally.push(outcome, round_truth);
         }
-
-        let confusion = ConfusionMatrix::from_pairs(
-            uir_pred
-                .iter()
-                .zip(eval_rows)
-                .map(|(&pred, row)| (pred, truth.label(row))),
-        );
-
-        UirOutcome {
-            confusion,
-            per_subspace_f1,
-            online_seconds,
-            labels_used: self.config.budget(),
-            subspace_outcomes,
-        }
+        tally.finish(self.config.budget())
     }
 }
 
@@ -517,6 +564,27 @@ mod tests {
         let eval: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
         let outcome = p.explore(&truth, &eval, Variant::MetaStar, 10);
         assert!(outcome.f1().is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "ground-truth subspaces must match the pipeline's decomposition")]
+    fn explore_with_pool_rejects_a_truth_over_other_subspaces() {
+        let (p, _, table) = small_pipeline();
+        let truth = p.generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9);
+        // As many subspaces of the same width as `{0,1} {2,3}`, over other
+        // attributes.
+        let other = [Subspace::new(vec![0, 2]), Subspace::new(vec![1, 3])];
+        let truth = ConjunctiveOracle::new(
+            truth
+                .parts()
+                .iter()
+                .zip(other)
+                .map(|((_, region), sub)| (sub, region.clone()))
+                .collect(),
+        );
+        let eval: Vec<Vec<f64>> = (0..100).map(|i| table.row(i).unwrap()).collect();
+        let pool = p.encode_pool(&eval);
+        p.explore_with_pool(&truth, &eval, &pool, Variant::Meta, 9);
     }
 
     #[test]

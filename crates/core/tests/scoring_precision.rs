@@ -147,13 +147,16 @@ proptest! {
     /// `Scorer::score` only parallelizes beyond `PARALLEL_MIN_ROWS`, so
     /// this drives the `score_block` kernel directly through
     /// `parallel_flat_map_chunks` with forced thread counts (the CI
-    /// container may expose one core).
+    /// container may expose one core). A `Fast` block runs in row tiles
+    /// that keep its widest layer within 32 KiB of `f32`s, at most 512
+    /// rows (256 at `ne = 32`), so the pools reach past two of the largest
+    /// tiles plus a ragged tail.
     #[test]
     fn chunked_scoring_is_bitwise_serial(
         seed in 0u64..200,
-        ne in 4usize..16,
+        ne in 4usize..40,
         use_conversion in proptest::bool::ANY,
-        pool in 1usize..160,
+        pool in 1usize..1200,
         block in 1usize..64,
         threads in 1usize..5,
     ) {

@@ -1,9 +1,7 @@
 //! A single fully connected layer.
 
-use crate::activation::Activation;
 use crate::init;
 use crate::matrix::Matrix;
-use crate::matrix32::{Epilogue, Matrix32};
 use rand::Rng;
 
 /// A dense layer `z = W·x + b` with `W: out × in`.
@@ -82,35 +80,6 @@ impl Dense {
         let mut z = x.matmul_nt(&self.w);
         z.add_row_bias(&self.b);
         z
-    }
-
-    /// Single-precision batched forward pass (the pool-scoring fast path).
-    /// Weights and biases are demoted to `f32` on the fly — they are tiny
-    /// next to the `batch × in_dim` operand — and the product runs on the
-    /// SIMD [`Matrix32::matmul_nt_ep`] kernel with the bias add fused into
-    /// the epilogue (one pass over the output instead of two). Results
-    /// match [`Dense::forward_batch`] to within `f32` round-off; see
-    /// [`lte_nn::matrix32`](crate::matrix32) for the accuracy contract.
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != in_dim()`.
-    pub fn forward_batch_f32(&self, x: &Matrix32) -> Matrix32 {
-        self.forward_batch_f32_act(x, Activation::Identity)
-    }
-
-    /// [`Dense::forward_batch_f32`] with the layer activation fused into
-    /// the kernel epilogue as well: `act(X·Wᵀ + b)` in a single sweep.
-    /// Bitwise identical to `forward_batch_f32` followed by
-    /// [`Activation::apply_slice_f32`] (see the epilogue contract in
-    /// [`lte_nn::matrix32`](crate::matrix32)).
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != in_dim()`.
-    pub fn forward_batch_f32_act(&self, x: &Matrix32, act: Activation) -> Matrix32 {
-        assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
-        let w32 = Matrix32::from_f64(&self.w);
-        let b32: Vec<f32> = self.b.iter().map(|&v| v as f32).collect();
-        x.matmul_nt_ep(&w32, Epilogue::new(&b32, act))
     }
 
     /// Backward pass. Given `dL/dz` and the cached input `x`, accumulates

@@ -33,5 +33,5 @@ pub use activation::Activation;
 pub use dense::Dense;
 pub use matrix::Matrix;
 pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
-pub use mlp::{Mlp, MlpCache};
+pub use mlp::{Mlp, Mlp32, MlpCache};
 pub use optimizer::{Adam, Sgd};

@@ -328,11 +328,13 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Rows of a `rows × k` right-operand slab that fit a conservative L1
-/// budget (~32 KiB), floored at `min_rows` so tiny inner dimensions never
-/// degenerate the tile below the kernel width. `elem_size` is the scalar
-/// width in bytes (8 for `f64`, 4 for `f32`).
-pub(crate) fn l1_block_rows_sized(k: usize, min_rows: usize, elem_size: usize) -> usize {
+/// Rows of a `rows × k` operand that fit a conservative L1 budget
+/// (~32 KiB), floored at `min_rows` so tiny inner dimensions never
+/// degenerate the tile below the kernel width and capped at 512.
+/// `elem_size` is the scalar width in bytes (8 for `f64`, 4 for `f32`).
+/// The kernels size their right-operand slabs with it, and `f32` pool
+/// scoring sizes its row tiles.
+pub fn l1_block_rows_sized(k: usize, min_rows: usize, elem_size: usize) -> usize {
     const L1_BUDGET_BYTES: usize = 32 * 1024;
     (L1_BUDGET_BYTES / (elem_size * k.max(1))).clamp(min_rows, 512)
 }

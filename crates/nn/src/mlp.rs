@@ -11,7 +11,7 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
+use crate::matrix32::{Epilogue, Matrix32};
 use rand::Rng;
 
 /// A sequential stack of dense layers with per-layer activations.
@@ -36,6 +36,41 @@ impl MlpCache {
     /// The forward output this cache corresponds to.
     pub fn output(&self) -> &[f64] {
         &self.output
+    }
+}
+
+/// An [`Mlp`] with its parameters demoted to `f32` ([`Mlp::to_f32`]), the
+/// pool-scoring fast path. Demoting once lets a pool be scored in many row
+/// tiles without demoting the weights again for each tile.
+#[derive(Debug, Clone)]
+pub struct Mlp32 {
+    layers: Vec<(Matrix32, Vec<f32>, Activation)>,
+}
+
+impl Mlp32 {
+    /// Single-precision batched forward pass: [`Mlp::forward_batch`] on
+    /// the SIMD `f32` kernels with each layer's bias add and activation
+    /// **fused into the kernel epilogue** ([`Matrix32::matmul_nt_ep`]) —
+    /// one sweep per layer output instead of three (matmul, bias pass,
+    /// activation pass). Use for pool *ranking*, where only the order of
+    /// outputs matters: outputs track the `f64` path to within `f32`
+    /// round-off accumulated over the layers (see
+    /// [`lte_nn::matrix32`](crate::matrix32) for the contract), but are
+    /// not bit-comparable to it, and the `f64` path remains the reference
+    /// for gradcheck and training. Each output row depends only on its
+    /// input row, so a pool scored tile by tile equals the pool scored in
+    /// one call, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `x.cols()` differs from the first layer's input width.
+    pub fn forward_batch(&self, x: &Matrix32) -> Matrix32 {
+        let mut cur: Option<Matrix32> = None;
+        for (w, b, act) in &self.layers {
+            let input = cur.as_ref().unwrap_or(x);
+            assert_eq!(input.cols(), w.cols(), "batch input width mismatch");
+            cur = Some(input.matmul_nt_ep(w, Epilogue::new(b, *act)));
+        }
+        cur.expect("an MLP has at least one layer")
     }
 }
 
@@ -169,27 +204,18 @@ impl Mlp {
         cur.expect("an MLP has at least one layer")
     }
 
-    /// Single-precision batched forward pass: [`Mlp::forward_batch`] on
-    /// the SIMD `f32` kernels with each layer's bias add and activation
-    /// **fused into the kernel epilogue**
-    /// ([`Dense::forward_batch_f32_act`]) — one sweep per layer output
-    /// instead of three (matmul, bias pass, activation pass).
-    /// Use for pool *ranking*, where only the order of outputs matters:
-    /// outputs track the `f64` path to within `f32` round-off accumulated
-    /// over the layers (see [`lte_nn::matrix32`](crate::matrix32) for the
-    /// contract), but are not bit-comparable to it, and the `f64` path
-    /// remains the reference for gradcheck and training.
-    ///
-    /// # Panics
-    /// Panics when `x.cols() != in_dim()`.
-    pub fn forward_batch_f32(&self, x: &Matrix32) -> Matrix32 {
-        assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
-        let mut cur = None;
-        for (layer, act) in self.layers.iter().zip(&self.acts) {
-            let z = layer.forward_batch_f32_act(cur.as_ref().unwrap_or(x), *act);
-            cur = Some(z);
+    /// Demote every layer's weights and biases to `f32` (each rounded to
+    /// nearest) for the single-precision [`Mlp32::forward_batch`].
+    pub fn to_f32(&self) -> Mlp32 {
+        let layers = self.layers.iter().zip(&self.acts);
+        Mlp32 {
+            layers: layers
+                .map(|(layer, &act)| {
+                    let b = layer.b.iter().map(|&v| v as f32).collect();
+                    (Matrix32::from_f64(&layer.w), b, act)
+                })
+                .collect(),
         }
-        cur.expect("an MLP has at least one layer")
     }
 
     /// Forward pass retaining the per-layer state needed by
@@ -317,6 +343,40 @@ mod tests {
         let empty = mlp.forward_batch(&Matrix::from_rows(&[], 6));
         assert_eq!(empty.rows(), 0);
         assert_eq!(empty.cols(), 2);
+    }
+
+    #[test]
+    fn f32_forward_tracks_f64_and_ignores_tiling() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mlp = Mlp::new(
+            &[6, 10, 4, 1],
+            Activation::Relu,
+            Activation::Identity,
+            &mut rng,
+        );
+        let rows: Vec<Vec<f64>> = (0..37)
+            .map(|i| (0..6).map(|j| ((i * 6 + j) as f64 * 0.29).sin()).collect())
+            .collect();
+        let fast = mlp.to_f32();
+        let whole = fast.forward_batch(&Matrix32::from_rows(&rows, 6));
+        let exact = mlp.forward_batch(&Matrix::from_rows(&rows, 6));
+        for (a, b) in whole.data().iter().zip(exact.data()) {
+            assert!((f64::from(*a) - b).abs() <= 1e-4, "{a} vs {b}");
+        }
+        // Row tiles of any size reproduce the one-call output bit for bit.
+        for tile in [1, 8, 13] {
+            let tiled: Vec<u32> = rows
+                .chunks(tile)
+                .flat_map(|t| {
+                    fast.forward_batch(&Matrix32::from_rows(t, 6))
+                        .data()
+                        .to_vec()
+                })
+                .map(f32::to_bits)
+                .collect();
+            let bits: Vec<u32> = whole.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(tiled, bits, "tile {tile}");
+        }
     }
 
     #[test]

@@ -25,9 +25,13 @@
 //!    [`score_fused_with`] call. Scores are bit-identical to the
 //!    per-session calls (row independence), so fusing is invisible to
 //!    outcomes.
-//! 5. **finish** — predictions, `Meta*` revision, per-subspace bookkeeping
-//!    ([`lte_core::explore::finish_round`]).
-//! 6. **drain** — sessions whose last subspace finished emit a
+//! 5. **finish** — predictions and `Meta*` revision
+//!    ([`lte_core::explore::finish_round`]), then the round's ground-truth
+//!    mask over the projected pool and its per-subspace F1
+//!    ([`RoundTruth`]), across the worker pool. A serial fold ANDs each
+//!    round's predictions and mask into the session's [`UirTally`].
+//! 6. **drain** — sessions whose last subspace finished build their UIR
+//!    confusion from those two vectors, with no pass over the pool, emit a
 //!    [`ServiceOutcome`] and release their admission slot.
 //!
 //! Everything that affects outcomes is counter-based (submission order,
@@ -43,13 +47,13 @@ use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
 use crate::stats::ThroughputStats;
 use crate::swap::SwapCell;
 use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
-use lte_core::metrics::ConfusionMatrix;
 use lte_core::oracle::RegionOracle;
 use lte_core::parallel::{default_threads, parallel_map};
-use lte_core::pipeline::{EncodedPool, LtePipeline, UirOutcome};
+use lte_core::pipeline::{EncodedPool, LtePipeline, RoundTruth, UirOutcome, UirTally};
 use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
 use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
+use lte_data::subspace::Subspace;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -60,7 +64,9 @@ struct Shard {
     name: String,
     cell: Arc<SwapCell>,
     eval_rows: Vec<Vec<f64>>,
-    n_subspaces: usize,
+    /// The subspace decomposition every session's truth and every
+    /// hot-swapped pipeline must match.
+    subspaces: Vec<Subspace>,
     cache: Option<ShardCache>,
 }
 
@@ -106,11 +112,8 @@ struct ActiveSession {
     submit_tick: u64,
     admitted_tick: u64,
     round: usize,
-    uir_pred: Vec<bool>,
-    per_subspace_f1: Vec<f64>,
-    subspace_outcomes: Vec<ExploreOutcome>,
+    tally: UirTally,
     epochs: Vec<u64>,
-    online_seconds: f64,
 }
 
 /// A completed session, with the service-side provenance the per-session
@@ -352,12 +355,12 @@ impl ScoringService {
             self.shard_index(name).is_none(),
             "shard {name:?} already registered"
         );
-        let n_subspaces = pipeline.subspaces().len();
+        let subspaces = pipeline.subspaces().to_vec();
         self.shards.push(Shard {
             name: name.to_string(),
             cell: Arc::new(SwapCell::new(pipeline)),
             eval_rows,
-            n_subspaces,
+            subspaces,
             cache: None,
         });
         self.shards.len() - 1
@@ -441,7 +444,8 @@ impl ScoringService {
     ///
     /// # Panics
     /// Panics when the shard name is unknown or the request's ground truth
-    /// does not have one region per shard subspace.
+    /// does not have one region per shard subspace, over the shard's
+    /// subspaces in the shard's order.
     pub fn submit(&mut self, shard: &str, request: SessionRequest) -> AdmissionState {
         let shard = self
             .shard_index(shard)
@@ -483,10 +487,20 @@ impl ScoringService {
         request: SessionRequest,
         routing: Option<RoutingDecision>,
     ) -> AdmissionState {
+        let subspaces = &self.shards[shard].subspaces;
         assert_eq!(
             request.truth.parts().len(),
-            self.shards[shard].n_subspaces,
+            subspaces.len(),
             "one ground-truth region per shard subspace required"
+        );
+        assert!(
+            request
+                .truth
+                .parts()
+                .iter()
+                .map(|(sub, _)| sub)
+                .eq(subspaces),
+            "ground-truth subspaces must match the shard's decomposition"
         );
         let pending = PendingSession {
             shard,
@@ -554,11 +568,8 @@ impl ScoringService {
                 submit_tick: p.submit_tick,
                 admitted_tick: tick,
                 round: 0,
-                uir_pred: vec![true; rows],
-                per_subspace_f1: Vec::new(),
-                subspace_outcomes: Vec::new(),
+                tally: UirTally::new(rows),
                 epochs: Vec::new(),
-                online_seconds: 0.0,
             });
         }
         self.stats.peak_active = self.stats.peak_active.max(self.active.len());
@@ -576,8 +587,8 @@ impl ScoringService {
             let (pipeline, epoch) = shard.cell.load();
             if shard.cache.as_ref().map(|c| c.epoch) != Some(epoch) {
                 assert_eq!(
-                    pipeline.subspaces().len(),
-                    shard.n_subspaces,
+                    pipeline.subspaces(),
+                    shard.subspaces.as_slice(),
                     "hot-swapped pipeline changed the subspace decomposition"
                 );
                 let pool = pipeline.encode_pool(&shard.eval_rows);
@@ -598,8 +609,7 @@ impl ScoringService {
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
                 let ctx = &pipeline.contexts()[s.round];
-                let (sub, region) = &s.request.truth.parts()[s.round];
-                debug_assert_eq!(sub, &pipeline.subspaces()[s.round]);
+                let (_, region) = &s.request.truth.parts()[s.round];
                 let oracle = RegionOracle::new(region.clone());
                 let learner = match s.request.variant {
                     Variant::Basic => None,
@@ -639,10 +649,10 @@ impl ScoringService {
         let score_seconds = t0.elapsed().as_secs_f64();
         drop(requests);
 
-        // (5) Finish each round (predictions + Meta* revision) in
-        // parallel. The measured scoring time is attributed per session by
-        // its share of the fused rows — a report-only split; outcomes
-        // never depend on it.
+        // (5) Finish each round (predictions + Meta* revision) and test its
+        // ground truth over the projected pool, in parallel. The measured
+        // scoring time is attributed per session by its share of the fused
+        // rows — a report-only split; outcomes never depend on it.
         let finish_jobs: Vec<(usize, PreparedRound, Vec<f64>, f64)> = prepared
             .into_iter()
             .zip(scores)
@@ -655,47 +665,36 @@ impl ScoringService {
                 (idx, p, s_scores, share)
             })
             .collect();
-        let finished: Vec<(usize, ExploreOutcome)> = parallel_map(
+        let finished: Vec<(usize, ExploreOutcome, RoundTruth)> = parallel_map(
             finish_jobs,
             self.workers,
             move |(idx, p, s_scores, share)| {
                 let s = &active[idx];
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
+                let proj = cache.pool.proj(s.round);
                 let outcome = finish_round(
                     &pipeline.contexts()[s.round],
                     p,
-                    cache.pool.proj(s.round),
+                    proj,
                     s_scores,
                     pipeline.config(),
                     s.request.variant,
                     share,
                 );
-                (idx, outcome)
+                let (_, region) = &s.request.truth.parts()[s.round];
+                let truth = RoundTruth::evaluate(region, proj, &outcome.predictions);
+                (idx, outcome, truth)
             },
         );
 
         // Serial bookkeeping: fold each round into its session.
         let shards = &self.shards;
-        for (idx, outcome) in finished {
+        for (idx, outcome, truth) in finished {
             let s = &mut self.active[idx];
             let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
-            let round = s.round;
-            let (_, region) = &s.request.truth.parts()[round];
-            let sub_confusion = ConfusionMatrix::from_pairs(
-                outcome
-                    .predictions
-                    .iter()
-                    .zip(cache.pool.proj(round))
-                    .map(|(&pred, row)| (pred, region.contains(row))),
-            );
-            s.per_subspace_f1.push(sub_confusion.f1());
-            for (pred, &sub_pred) in s.uir_pred.iter_mut().zip(&outcome.predictions) {
-                *pred &= sub_pred;
-            }
-            s.online_seconds += outcome.online_seconds;
+            s.tally.push(outcome, truth);
             s.epochs.push(cache.epoch);
-            s.subspace_outcomes.push(outcome);
             s.round += 1;
         }
 
@@ -704,28 +703,15 @@ impl ScoringService {
         let mut still_active = Vec::with_capacity(self.active.len());
         for s in std::mem::take(&mut self.active) {
             let shard = &shards[s.shard];
-            if s.round < shard.n_subspaces {
+            if s.round < shard.subspaces.len() {
                 still_active.push(s);
                 continue;
             }
             let cache = shard.cache.as_ref().expect("cache refreshed");
-            let confusion = ConfusionMatrix::from_pairs(
-                s.uir_pred
-                    .iter()
-                    .zip(&shard.eval_rows)
-                    .map(|(&pred, row)| (pred, s.request.truth.label(row))),
-            );
-            let outcome = UirOutcome {
-                confusion,
-                per_subspace_f1: s.per_subspace_f1,
-                online_seconds: s.online_seconds,
-                labels_used: cache.pipeline.config().budget(),
-                subspace_outcomes: s.subspace_outcomes,
-            };
             self.completed.push(ServiceOutcome {
                 id: s.request.id,
                 shard: s.shard,
-                outcome,
+                outcome: s.tally.finish(cache.pipeline.config().budget()),
                 epochs: s.epochs,
                 submit_seq: s.submit_seq,
                 submit_tick: s.submit_tick,
@@ -873,6 +859,7 @@ impl SessionEngine {
 mod tests {
     use super::*;
     use lte_core::config::LteConfig;
+    use lte_core::oracle::ConjunctiveOracle;
     use lte_core::uis::UisMode;
     use lte_data::generator::generate_sdss;
     use lte_data::subspace::decompose_sequential;
@@ -972,5 +959,54 @@ mod tests {
         let mut service = ScoringService::builder().workers(1).build();
         service.add_shard("sdss", pipeline, pool);
         service.submit("cars", req);
+    }
+
+    /// `tiny()`'s decomposition is `{0,1} {2,3}`; this one has as many
+    /// subspaces of the same width over other attributes.
+    fn other_decomposition() -> Vec<Subspace> {
+        vec![Subspace::new(vec![0, 2]), Subspace::new(vec![1, 3])]
+    }
+
+    #[test]
+    #[should_panic(expected = "ground-truth subspaces must match the shard's decomposition")]
+    fn submitting_a_truth_over_other_subspaces_panics() {
+        let (pipeline, pool) = tiny();
+        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
+        let mut req = engine
+            .simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7)
+            .pop()
+            .unwrap();
+        let parts = req
+            .truth
+            .parts()
+            .iter()
+            .zip(other_decomposition())
+            .map(|((_, region), sub)| (sub, region.clone()))
+            .collect();
+        req.truth = ConjunctiveOracle::new(parts);
+        let mut service = ScoringService::builder().workers(1).build();
+        service.add_shard("sdss", pipeline, pool);
+        service.submit("sdss", req);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot-swapped pipeline changed the subspace decomposition")]
+    fn hot_swap_to_another_decomposition_panics() {
+        let (pipeline, pool) = tiny();
+        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
+        let requests = engine.simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7);
+        let mut service = ScoringService::builder().workers(1).build();
+        let shard = service.add_shard("sdss", Arc::clone(&pipeline), pool);
+        service.submit("sdss", requests[0].clone());
+        service.tick();
+        // Same subspace count and widths, other attributes.
+        let swapped = LtePipeline::from_parts(
+            pipeline.config().clone(),
+            other_decomposition(),
+            pipeline.contexts().to_vec(),
+            pipeline.learners().to_vec(),
+        );
+        service.swap_handle(shard).swap(Arc::new(swapped));
+        service.tick();
     }
 }

@@ -4,10 +4,14 @@
 //! across dataset shards may change scheduling and timing — never a single
 //! output bit. These tests pin the four contracts: fused == per-session,
 //! 1 worker == N workers, bounded capacity == unbounded, and sharded ==
-//! each shard solo.
+//! each shard solo. Both engines share one evaluation helper, so the
+//! `Fast` sweep also pins each outcome's confusion and per-subspace F1 to
+//! a recomputation straight from the ground truth.
 
 use lte_core::config::{LteConfig, ScoringPrecision};
 use lte_core::explore::Variant;
+use lte_core::metrics::ConfusionMatrix;
+use lte_core::oracle::ConjunctiveOracle;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
 use lte_core::scorer::PARALLEL_MIN_ROWS;
 use lte_core::uis::UisMode;
@@ -49,6 +53,43 @@ fn outcome_bytes(o: &UirOutcome) -> Vec<u64> {
         bytes.push(sub.labels_used as u64);
     }
     bytes
+}
+
+/// Asserts that an outcome's evaluation equals one recomputed from the
+/// ground truth: the UIR confusion from `ConjunctiveOracle::label` on each
+/// full pool row, and each subspace's F1 from `region.contains` on each
+/// row's projection.
+fn assert_evaluation_matches_truth(
+    o: &UirOutcome,
+    truth: &ConjunctiveOracle,
+    pool: &[Vec<f64>],
+    what: &str,
+) {
+    let confusion = ConfusionMatrix::from_pairs(
+        o.uir_predictions()
+            .into_iter()
+            .zip(pool)
+            .map(|(pred, row)| (pred, truth.label(row))),
+    );
+    assert_eq!(o.confusion, confusion, "{what}: UIR confusion");
+    let f1: Vec<u64> = truth
+        .parts()
+        .iter()
+        .zip(&o.subspace_outcomes)
+        .map(|((sub, region), round)| {
+            ConfusionMatrix::from_pairs(
+                round
+                    .predictions
+                    .iter()
+                    .zip(pool)
+                    .map(|(&pred, row)| (pred, region.contains(&sub.project_row(row)))),
+            )
+            .f1()
+            .to_bits()
+        })
+        .collect();
+    let got: Vec<u64> = o.per_subspace_f1.iter().map(|f| f.to_bits()).collect();
+    assert_eq!(got, f1, "{what}: per-subspace F1");
 }
 
 /// The service-side provenance plus the outcome — the full byte identity a
@@ -130,7 +171,9 @@ fn fast_precision_serves_deterministically_across_worker_counts() {
     // scoring path (no serve-side switch), so the worker-sweep determinism
     // contract must hold for it too. 8 sessions × 300 rows fuse to 2 400
     // rows per tick, past the parallel threshold, so 4 workers really
-    // score the `f32` blocks in parallel.
+    // score the `f32` blocks in parallel. Every variant runs: `Basic`
+    // scores through the concatenation path, the meta variants through
+    // the conversion, and `Meta*` revises the predictions.
     let table = generate_sdss(3000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
     let mut cfg = LteConfig::reduced();
@@ -141,40 +184,53 @@ fn fast_precision_serves_deterministically_across_worker_counts() {
     let pipeline = Arc::new(pipeline);
 
     let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
-    let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 23);
+    for variant in [Variant::Basic, Variant::Meta, Variant::MetaStar] {
+        let requests = engine.simulate_requests(8, UisMode::new(1, 10), 0.2, 0.9, variant, 23);
 
-    let run = |workers: usize| {
-        let mut service = ScoringService::builder().workers(workers).build();
-        service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
-        for req in requests.clone() {
-            service.submit("sdss", req);
+        let run = |workers: usize| {
+            let mut service = ScoringService::builder().workers(workers).build();
+            service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
+            for req in requests.clone() {
+                service.submit("sdss", req);
+            }
+            let reports = service.run_until_idle();
+            (reports, service.take_completed())
+        };
+        let (reports_1, done_1) = run(1);
+        let (reports_4, done_4) = run(4);
+        assert_eq!(reports_1, reports_4, "{variant:?}: tick schedules diverged");
+        assert!(reports_4[0].fused_rows >= PARALLEL_MIN_ROWS);
+        assert_eq!(done_1.len(), 8);
+        for (a, b) in done_1.iter().zip(&done_4) {
+            assert_eq!(
+                service_bytes(a),
+                service_bytes(b),
+                "{variant:?}: fast session {} diverged between 1 and 4 workers",
+                a.id
+            );
         }
-        let reports = service.run_until_idle();
-        (reports, service.take_completed())
-    };
-    let (reports_1, done_1) = run(1);
-    let (reports_4, done_4) = run(4);
-    assert_eq!(reports_1, reports_4, "tick schedules diverged");
-    assert!(reports_4[0].fused_rows >= PARALLEL_MIN_ROWS);
-    assert_eq!(done_1.len(), 8);
-    for (a, b) in done_1.iter().zip(&done_4) {
-        assert_eq!(
-            service_bytes(a),
-            service_bytes(b),
-            "fast session {} diverged between 1 and 4 workers",
-            a.id
-        );
-    }
-    // Fused `Fast` scoring is bit-identical to the per-session path too.
-    for o in &done_4 {
-        let req = requests.iter().find(|r| r.id == o.id).unwrap();
-        let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
-        assert_eq!(
-            outcome_bytes(&solo),
-            outcome_bytes(&o.outcome),
-            "fast session {} diverged from its solo run",
-            o.id
-        );
+        // Fused `Fast` scoring is bit-identical to the per-session engine
+        // too, and every engine's evaluation is the ground truth's.
+        let solo = engine.run_sessions(requests.clone(), &pool);
+        for (o, s) in done_4.iter().zip(&solo) {
+            assert_eq!(o.id, s.id);
+            assert_eq!(
+                outcome_bytes(&s.outcome),
+                outcome_bytes(&o.outcome),
+                "{variant:?}: fast session {} diverged from its solo run",
+                o.id
+            );
+        }
+        let outcomes = solo
+            .iter()
+            .map(|s| ("per-session", s.id, &s.outcome))
+            .chain(done_1.iter().map(|o| ("1-worker", o.id, &o.outcome)))
+            .chain(done_4.iter().map(|o| ("4-worker", o.id, &o.outcome)));
+        for (engine_run, id, outcome) in outcomes {
+            let req = requests.iter().find(|r| r.id == id).unwrap();
+            let what = format!("{variant:?} {engine_run} session {id}");
+            assert_evaluation_matches_truth(outcome, &req.truth, &pool, &what);
+        }
     }
 }
 
