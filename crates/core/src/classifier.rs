@@ -49,13 +49,21 @@ impl ClassifierConfig {
 /// One labeled training example: encoded tuple features plus label.
 pub type Example = (Vec<f64>, bool);
 
-/// Forward-pass cache for backprop.
+/// Forward-pass cache for backprop. [`UisClassifier::train_step`] reuses
+/// its buffers, so one cache serves a whole training loop without
+/// allocating.
+#[derive(Default)]
 pub struct ForwardCache {
     r_cache: MlpCache,
     t_cache: MlpCache,
     concat: Vec<f64>,
-    converted: Option<Vec<f64>>,
+    /// `Mcp·concat` with conversion; unused without.
+    converted: Vec<f64>,
     clf_cache: MlpCache,
+    /// [`UisClassifier::train_step`]'s backward scratch: the gradients of
+    /// the classification block's input and of the concatenation.
+    d_clf_in: Vec<f64>,
+    d_concat: Vec<f64>,
     /// The produced logit.
     pub logit: f64,
 }
@@ -177,31 +185,32 @@ impl UisClassifier {
     /// # Panics
     /// Panics when input widths disagree with the architecture.
     pub fn forward(&self, v_r: &[f64], v_t: &[f64]) -> ForwardCache {
+        let mut cache = ForwardCache::default();
+        self.forward_into(v_r, v_t, &mut cache);
+        cache
+    }
+
+    /// [`UisClassifier::forward`] into a reused cache: the single-example
+    /// forward pass every other one wraps.
+    fn forward_into(&self, v_r: &[f64], v_t: &[f64], cache: &mut ForwardCache) {
         assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
         assert_eq!(v_t.len(), self.cfg.nr, "vτ width mismatch");
-        let r_cache = self.r_block.forward_cache(v_r);
-        let t_cache = self.t_block.forward_cache(v_t);
-        let mut concat = Vec::with_capacity(2 * self.cfg.ne);
-        concat.extend_from_slice(r_cache.output());
-        concat.extend_from_slice(t_cache.output());
+        self.r_block.forward_into(v_r, &mut cache.r_cache);
+        self.t_block.forward_into(v_t, &mut cache.t_cache);
+        cache.concat.clear();
+        cache.concat.extend_from_slice(cache.r_cache.output());
+        cache.concat.extend_from_slice(cache.t_cache.output());
 
-        let (clf_in, converted) = match &self.conversion {
+        let clf_in = match &self.conversion {
             Some(mcp) => {
-                let z = mcp.matvec(&concat);
-                (z.clone(), Some(z))
+                cache.converted.resize(mcp.rows(), 0.0);
+                mcp.matvec_into(&cache.concat, &mut cache.converted);
+                &cache.converted
             }
-            None => (concat.clone(), None),
+            None => &cache.concat,
         };
-        let clf_cache = self.clf_block.forward_cache(&clf_in);
-        let logit = clf_cache.output()[0];
-        ForwardCache {
-            r_cache,
-            t_cache,
-            concat,
-            converted,
-            clf_cache,
-            logit,
-        }
+        self.clf_block.forward_into(clf_in, &mut cache.clf_cache);
+        cache.logit = cache.clf_cache.output()[0];
     }
 
     /// Convenience: logit only.
@@ -334,15 +343,15 @@ impl UisClassifier {
             .clf_block
             .backward(&cache.clf_cache, &[dlogit], &mut grads.g_clf);
 
-        let d_concat = match (&self.conversion, &cache.converted) {
-            (Some(mcp), Some(_)) => {
+        let d_concat = match &self.conversion {
+            Some(mcp) => {
                 // z = Mcp·cat: dMcp = d_z ⊗ cat, dcat = Mcpᵀ·d_z.
                 if let Some(gm) = &mut grads.g_conv {
                     gm.add_outer(&d_clf_in, &cache.concat, 1.0);
                 }
                 mcp.matvec_t(&d_clf_in)
             }
-            _ => d_clf_in,
+            None => d_clf_in,
         };
 
         let ne = self.cfg.ne;
@@ -372,13 +381,67 @@ impl UisClassifier {
         pos_weight: f64,
     ) -> f64 {
         let cache = self.forward(v_r, &example.0);
-        let target = if example.1 { 1.0 } else { 0.0 };
-        let (mut loss, mut dlogit) = bce_with_logits(cache.logit, target);
-        if example.1 && pos_weight != 1.0 {
-            loss *= pos_weight;
-            dlogit *= pos_weight;
-        }
+        let (loss, dlogit) = weighted_bce(cache.logit, example.1, pos_weight);
         self.backward(&cache, dlogit, grads);
+        loss
+    }
+
+    /// One per-sample SGD step on `example`, the step
+    /// [`UisClassifier::train_local_weighted`] and
+    /// [`MetaLearner::adapt_weighted`](crate::meta_learner::MetaLearner::adapt_weighted)
+    /// run: forward into `cache`, then backpropagate and apply `p -= lr·g`
+    /// to every block and to `Mcp` as each gradient is formed, with no
+    /// gradient buffer. Returns the example's loss before the update.
+    ///
+    /// For any finite `lr ≥ 0` the classifier ends **bit for bit** where
+    /// [`UisClassifier::loss_backward_weighted`] into zeroed [`Grads`]
+    /// followed by [`UisClassifier::sgd_step`] leaves it, and the loss is
+    /// the same: every input gradient, and the conversion's `Mcpᵀ·d`, is
+    /// taken from the weights before their update (see
+    /// [`Mlp::train_step`]). `tap_r`, when given, receives `+=` each entry
+    /// of the θR gradient (`Grads::g_r`), as `adapt_weighted` sums it for
+    /// the memory write.
+    ///
+    /// # Panics
+    /// Panics when input widths disagree with the architecture or `tap_r`
+    /// is not `|θR|` long.
+    pub fn train_step(
+        &mut self,
+        v_r: &[f64],
+        example: &Example,
+        lr: f64,
+        pos_weight: f64,
+        cache: &mut ForwardCache,
+        tap_r: Option<&mut [f64]>,
+    ) -> f64 {
+        self.forward_into(v_r, &example.0, cache);
+        let (loss, dlogit) = weighted_bce(cache.logit, example.1, pos_weight);
+        let ForwardCache {
+            r_cache,
+            t_cache,
+            concat,
+            clf_cache,
+            d_clf_in,
+            d_concat,
+            ..
+        } = cache;
+        d_clf_in.resize(self.cfg.clf_input(), 0.0);
+        self.clf_block
+            .train_step(clf_cache, &[dlogit], lr, None, Some(d_clf_in));
+        let d_concat = match &mut self.conversion {
+            Some(mcp) => {
+                d_concat.clear();
+                d_concat.resize(concat.len(), 0.0);
+                step_conversion(mcp, d_clf_in, concat, lr, d_concat);
+                d_concat
+            }
+            None => d_clf_in,
+        };
+        let ne = self.cfg.ne;
+        self.r_block
+            .train_step(r_cache, &d_concat[..ne], lr, tap_r, None);
+        self.t_block
+            .train_step(t_cache, &d_concat[ne..], lr, None, None);
         loss
     }
 
@@ -422,13 +485,29 @@ impl UisClassifier {
         lr: f64,
         pos_weight: f64,
     ) -> f64 {
+        self.train_epochs(v_r, examples, steps, lr, pos_weight, None)
+    }
+
+    /// The per-sample SGD loop behind [`UisClassifier::train_local_weighted`]
+    /// and [`MetaLearner::adapt_weighted`](crate::meta_learner::MetaLearner::adapt_weighted):
+    /// `steps` passes of [`UisClassifier::train_step`] over `examples`, on
+    /// one reused cache. Returns the mean of each example's loss before its
+    /// update, over the last pass (0 when `steps == 0`).
+    pub(crate) fn train_epochs(
+        &mut self,
+        v_r: &[f64],
+        examples: &[Example],
+        steps: usize,
+        lr: f64,
+        pos_weight: f64,
+        mut tap_r: Option<&mut [f64]>,
+    ) -> f64 {
+        let mut cache = ForwardCache::default();
         let mut last_avg = 0.0;
         for _ in 0..steps {
             let mut total = 0.0;
             for ex in examples {
-                let mut grads = Grads::zeros_like(self);
-                total += self.loss_backward_weighted(v_r, ex, &mut grads, pos_weight);
-                self.sgd_step(&grads, lr);
+                total += self.train_step(v_r, ex, lr, pos_weight, &mut cache, tap_r.as_deref_mut());
             }
             last_avg = total / examples.len().max(1) as f64;
         }
@@ -460,6 +539,40 @@ impl UisClassifier {
             .filter(|(x, y)| self.predict(v_r, x) == *y)
             .count();
         correct as f64 / examples.len() as f64
+    }
+}
+
+/// Weighted BCE of one logit: `(loss, dloss/dlogit)`, both scaled by
+/// `pos_weight` for a positive label.
+fn weighted_bce(logit: f64, label: bool, pos_weight: f64) -> (f64, f64) {
+    let target = if label { 1.0 } else { 0.0 };
+    let (mut loss, mut dlogit) = bce_with_logits(logit, target);
+    if label && pos_weight != 1.0 {
+        loss *= pos_weight;
+        dlogit *= pos_weight;
+    }
+    (loss, dlogit)
+}
+
+/// The conversion's share of [`UisClassifier::train_step`]: `d_concat`
+/// (zeroed on entry) receives `Mcpᵀ·d` of the rows before their update,
+/// and each row with `d[r] != 0` then moves by the reference's
+/// `Mcp + (−lr)·(0.0 + d[r]·concat)` (`Matrix::add_outer` into a zeroed
+/// gradient, then `Matrix::add_scaled`). Rows with `d[r] == 0` are skipped
+/// by both.
+fn step_conversion(mcp: &mut Matrix, d: &[f64], concat: &[f64], lr: f64, d_concat: &mut [f64]) {
+    let neg_lr = -lr;
+    for (r, &dr) in d.iter().enumerate() {
+        if dr == 0.0 {
+            continue;
+        }
+        let row = mcp.row_mut(r);
+        for (acc, &m) in d_concat.iter_mut().zip(row.iter()) {
+            *acc += dr * m;
+        }
+        for (m, &c) in row.iter_mut().zip(concat) {
+            *m += neg_lr * (0.0 + dr * c);
+        }
     }
 }
 

@@ -3,8 +3,7 @@
 //! Two presets are provided: [`LteConfig::paper`] mirrors §VIII-A's bolded
 //! defaults (ku=100, kq=200, B=30, α=4/ψ=20, |TM|=5000, Ne=100), and
 //! [`LteConfig::reduced`] is a proportionally scaled-down configuration for
-//! tests and default benchmark runs (see EXPERIMENTS.md for the scaling
-//! rationale). `Default` is the reduced preset.
+//! tests and default benchmark runs. `Default` is the reduced preset.
 
 use crate::uis::UisMode;
 
@@ -151,9 +150,9 @@ pub struct TrainConfig {
 impl TrainConfig {
     /// Paper-scale defaults. Learning rates follow Fig. 8(d): small offline
     /// (deliberate meta-knowledge capture), large online. The global rate λ
-    /// was re-calibrated for this from-scratch NN substrate (see
-    /// EXPERIMENTS.md): held-out adapted query loss decreases monotonically
-    /// and the Meta*>Meta>Basic ordering of §VIII holds.
+    /// was re-calibrated for this from-scratch NN substrate: held-out
+    /// adapted query loss decreases monotonically and the Meta*>Meta>Basic
+    /// ordering of §VIII holds.
     pub fn paper() -> Self {
         Self {
             n_tasks: 5000,

@@ -117,7 +117,7 @@ impl Memories {
     /// scale over thousands of tasks. Blending each row `i` at rate
     /// `η·aR[i]` keeps the attentive semantics — rows move towards the new
     /// content proportionally to their attention — while preserving scale;
-    /// this matches MAMO's behaviour and is recorded in DESIGN.md.
+    /// this matches MAMO's behaviour.
     pub fn update_mvr(&mut self, attention: &[f64], v_r: &[f64], eta: f64) {
         blend_rows(&mut self.mvr, attention, v_r, eta);
     }

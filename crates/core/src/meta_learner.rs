@@ -15,7 +15,7 @@
 //! the cost of training"), the global update is **first-order**: the
 //! gradient of the query loss at `θ̂` is applied to `φ` directly, without
 //! differentiating through the local steps. This is the standard FOMAML
-//! approximation; DESIGN.md records it as an explicit design decision.
+//! approximation.
 
 use crate::classifier::{ClassifierConfig, Example, Grads, UisClassifier};
 use crate::config::{NetConfig, TrainConfig};
@@ -33,7 +33,9 @@ pub struct Adapted {
     /// Average support-loss gradient w.r.t. θR across local steps —
     /// the `∇θR LossFunc` written into `MR` (Eq. 15).
     pub avg_grad_r: Vec<f64>,
-    /// Final average support loss after adaptation.
+    /// Mean over the support set of each example's loss just before its
+    /// own update, in the last local step (0 with no steps). It is not the
+    /// loss of the adapted classifier.
     pub support_loss: f64,
 }
 
@@ -188,23 +190,12 @@ impl MetaLearner {
         c.t_block.read_params(&self.phi_t);
         c.clf_block.read_params(&self.phi_clf);
 
-        // Eq. 12: local SGD on the support set (Mcp updated by backprop too).
+        // Eq. 12: local SGD on the support set (Mcp updated by backprop too),
+        // summing every step's θR gradient for the memory write (Eq. 15).
         let mut grad_r_acc = vec![0.0; self.phi_r.len()];
-        let mut n_grads = 0usize;
-        let mut support_loss = 0.0;
-        for _ in 0..steps {
-            support_loss = 0.0;
-            for ex in support {
-                let mut grads = Grads::zeros_like(&c);
-                support_loss += c.loss_backward_weighted(v_r, ex, &mut grads, pos_weight);
-                for (acc, g) in grad_r_acc.iter_mut().zip(&grads.g_r) {
-                    *acc += g;
-                }
-                n_grads += 1;
-                c.sgd_step(&grads, rho);
-            }
-            support_loss /= support.len().max(1) as f64;
-        }
+        let support_loss =
+            c.train_epochs(v_r, support, steps, rho, pos_weight, Some(&mut grad_r_acc));
+        let n_grads = steps * support.len();
         if n_grads > 0 {
             let inv = 1.0 / n_grads as f64;
             for g in grad_r_acc.iter_mut() {

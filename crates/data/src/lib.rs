@@ -16,8 +16,7 @@
 //! The real SDSS and eBay CAR datasets are not redistributable here, so
 //! [`generator`] produces deterministic synthetic tables whose marginal
 //! distributions have the same character (multi-modal peaks for SDSS,
-//! smooth skewed trends for CAR); see `DESIGN.md` for the substitution
-//! rationale.
+//! smooth skewed trends for CAR).
 
 pub mod csv;
 pub mod dataset;

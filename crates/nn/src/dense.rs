@@ -48,11 +48,19 @@ impl Dense {
 
     /// Forward pass: `z = W·x + b`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut z = self.w.matvec(x);
+        let mut z = Vec::new();
+        self.forward_into(x, &mut z);
+        z
+    }
+
+    /// [`Dense::forward`] into a reused buffer, which is resized to
+    /// `out_dim()` and overwritten.
+    pub(crate) fn forward_into(&self, x: &[f64], z: &mut Vec<f64>) {
+        z.resize(self.out_dim(), 0.0);
+        self.w.matvec_into(x, z);
         for (zi, bi) in z.iter_mut().zip(&self.b) {
             *zi += bi;
         }
-        z
     }
 
     /// Batched forward pass: `Z = X·Wᵀ + b` with one input tuple per row of
@@ -108,6 +116,57 @@ impl Dense {
 
         // dx = Wᵀ·dz.
         self.w.matvec_t(dz)
+    }
+
+    /// [`Dense::backward`] into zeroed gradients followed by `p -= lr·g`,
+    /// with each parameter updated as soon as its gradient is formed. Row
+    /// `r` adds `dz[r]·W[r]` into `dx` before it updates `W[r]` and `b[r]`,
+    /// so `dx` is `Wᵀ·dz` of the weights before the step. Rows with
+    /// `dz[r] == 0` are skipped, as `backward` skips them; their gradient is
+    /// `+0.0`, which changes no parameter for a finite `lr ≥ 0`. `tap` (this
+    /// layer's flat slice) receives `+= g`; `dx` must arrive zeroed.
+    pub(crate) fn train_step(
+        &mut self,
+        x: &[f64],
+        dz: &[f64],
+        lr: f64,
+        mut tap: Option<&mut [f64]>,
+        mut dx: Option<&mut [f64]>,
+    ) {
+        let (rows, cols) = (self.w.rows(), self.w.cols());
+        debug_assert_eq!(x.len(), cols);
+        debug_assert_eq!(dz.len(), rows);
+        for (r, &d) in dz.iter().enumerate() {
+            if d == 0.0 {
+                continue;
+            }
+            let w = self.w.row_mut(r);
+            if let Some(dx) = dx.as_deref_mut() {
+                for (acc, &p) in dx.iter_mut().zip(w.iter()) {
+                    *acc += d * p;
+                }
+            }
+            // Each gradient is formed as `0.0 + d·x`, the zeroed buffer's
+            // first accumulation in `backward`, so a `-0.0` product updates
+            // as `+0.0` does there.
+            match tap.as_deref_mut() {
+                Some(tap) => {
+                    let tap_w = &mut tap[r * cols..(r + 1) * cols];
+                    for ((p, t), &xv) in w.iter_mut().zip(tap_w).zip(x) {
+                        let g = 0.0 + d * xv;
+                        *t += g;
+                        *p -= lr * g;
+                    }
+                    tap[rows * cols + r] += 0.0 + d;
+                }
+                None => {
+                    for (p, &xv) in w.iter_mut().zip(x) {
+                        *p -= lr * (0.0 + d * xv);
+                    }
+                }
+            }
+            self.b[r] -= lr * (0.0 + d);
+        }
     }
 
     /// Copy parameters into a flat slice (`w` row-major then `b`).

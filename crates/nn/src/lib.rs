@@ -4,10 +4,12 @@
 //! blocks trained in a few-shot regime: support sets of ~30 tuples, a few
 //! local gradient steps, and first-order global (meta) updates over
 //! thousands of tasks. Mature autograd frameworks are unnecessary (and the
-//! Rust ML ecosystem is immature for few-shot training — see DESIGN.md);
-//! what meta-learning *does* require, and what this crate provides, is:
+//! Rust ML ecosystem is immature for few-shot training); what
+//! meta-learning *does* require, and what this crate provides, is:
 //!
 //! * exact gradients through fixed dense architectures ([`Mlp::backward`]),
+//!   and a per-sample SGD step that applies each gradient as it is formed
+//!   ([`Mlp::train_step`]),
 //! * parameters as *flat vectors* that can be copied, blended, and updated
 //!   arithmetically — the `θ ⇐ φ − σ·ωR` initialization (Eq. 6), local SGD
 //!   (Eq. 12) and one-step global updates (Eq. 13) are all flat-vector
@@ -27,11 +29,9 @@ pub mod loss;
 pub mod matrix;
 pub mod matrix32;
 pub mod mlp;
-pub mod optimizer;
 
 pub use activation::Activation;
 pub use dense::Dense;
 pub use matrix::Matrix;
 pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
 pub use mlp::{Mlp, Mlp32, MlpCache};
-pub use optimizer::{Adam, Sgd};

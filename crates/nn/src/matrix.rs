@@ -104,17 +104,49 @@ impl Matrix {
 
     /// Matrix-vector product `y = A·x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut y = vec![0.0; self.rows];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
+        self.matvec_into(x, &mut y);
+        y
+    }
+
+    /// [`Matrix::matvec`] into a caller-owned output, overwriting it.
+    ///
+    /// Rows go four at a time: one sequential sum per row is bound by the
+    /// latency of its adds, and four independent sums hide it. Each output
+    /// still starts from `0.0` and adds its products in column order, so
+    /// the result is the same, bit for bit, as one row at a time.
+    ///
+    /// # Panics
+    /// Panics when `x.len() != cols` or `y.len() != rows`.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.rows, "matvec output mismatch");
+        let n = self.cols;
+        if n == 0 {
+            y.fill(0.0);
+            return;
+        }
+        let mut quads = self.data.chunks_exact(4 * n);
+        let mut outs = y.chunks_exact_mut(4);
+        for (w, out) in (&mut quads).zip(&mut outs) {
+            let (w0, w1, w2, w3) = (&w[..n], &w[n..2 * n], &w[2 * n..3 * n], &w[3 * n..]);
+            let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+            for c in 0..n {
+                let xv = x[c];
+                a0 += w0[c] * xv;
+                a1 += w1[c] * xv;
+                a2 += w2[c] * xv;
+                a3 += w3[c] * xv;
+            }
+            out.copy_from_slice(&[a0, a1, a2, a3]);
+        }
+        for (row, yr) in quads.remainder().chunks_exact(n).zip(outs.into_remainder()) {
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x) {
                 acc += a * b;
             }
             *yr = acc;
         }
-        y
     }
 
     /// Transposed matrix-vector product `y = Aᵀ·x` (x has `rows` entries,

@@ -22,20 +22,26 @@ pub struct Mlp {
 }
 
 /// Cached intermediate state of one forward pass, needed for backprop.
-#[derive(Debug, Clone)]
+/// [`Mlp::forward_into`] reuses its buffers, so one cache serves a whole
+/// training loop without allocating.
+#[derive(Debug, Clone, Default)]
 pub struct MlpCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Vec<f64>>,
+    /// `acts[0]` is the network input, `acts[i + 1]` the post-activation
+    /// output of layer `i` (so `acts[i]` is the input to layer `i`).
+    acts: Vec<Vec<f64>>,
     /// Pre-activation output of each layer.
     pre_acts: Vec<Vec<f64>>,
-    /// Final output (post-activation of the last layer).
-    output: Vec<f64>,
+    /// [`Mlp::train_step`]'s backward scratch: `dL/dz` of the layer being
+    /// stepped, and `dL/dx` of its input.
+    delta: Vec<f64>,
+    delta_in: Vec<f64>,
 }
 
 impl MlpCache {
-    /// The forward output this cache corresponds to.
+    /// The forward output this cache corresponds to (empty before the
+    /// first forward pass).
     pub fn output(&self) -> &[f64] {
-        &self.output
+        self.acts.last().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -162,13 +168,8 @@ impl Mlp {
 
     /// Plain forward pass.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        for (layer, act) in self.layers.iter().zip(&self.acts) {
-            let mut z = layer.forward(&cur);
-            act.apply_slice(&mut z);
-            cur = z;
-        }
-        cur
+        let mut cache = self.forward_cache(x);
+        cache.acts.pop().expect("an MLP has at least one layer")
     }
 
     /// Batched forward pass: one input tuple per row of `x`
@@ -221,21 +222,30 @@ impl Mlp {
     /// Forward pass retaining the per-layer state needed by
     /// [`Mlp::backward`].
     pub fn forward_cache(&self, x: &[f64]) -> MlpCache {
-        let mut inputs = Vec::with_capacity(self.layers.len());
-        let mut pre_acts = Vec::with_capacity(self.layers.len());
-        let mut cur = x.to_vec();
-        for (layer, act) in self.layers.iter().zip(&self.acts) {
-            inputs.push(cur.clone());
-            let z = layer.forward(&cur);
-            pre_acts.push(z.clone());
-            let mut a = z;
-            act.apply_slice(&mut a);
-            cur = a;
-        }
-        MlpCache {
-            inputs,
-            pre_acts,
-            output: cur,
+        let mut cache = MlpCache::default();
+        self.forward_into(x, &mut cache);
+        cache
+    }
+
+    /// [`Mlp::forward_cache`] into a reused cache: the single-example
+    /// forward pass every other one wraps. Each layer computes
+    /// `z = W·x + b` and then its activation.
+    ///
+    /// # Panics
+    /// Panics when `x.len() != in_dim()`.
+    pub fn forward_into(&self, x: &[f64], cache: &mut MlpCache) {
+        let n = self.layers.len();
+        cache.acts.resize_with(n + 1, Vec::new);
+        cache.pre_acts.resize_with(n, Vec::new);
+        cache.acts[0].clear();
+        cache.acts[0].extend_from_slice(x);
+        for (i, (layer, act)) in self.layers.iter().zip(&self.acts).enumerate() {
+            let (inputs, outputs) = cache.acts.split_at_mut(i + 1);
+            let z = &mut cache.pre_acts[i];
+            layer.forward_into(&inputs[i], z);
+            let a = &mut outputs[0];
+            a.clear();
+            a.extend(z.iter().map(|&v| act.apply(v)));
         }
     }
 
@@ -267,7 +277,7 @@ impl Mlp {
             let layer = &self.layers[i];
             let n = layer.param_count();
             let g = &mut grad[offsets[i]..offsets[i] + n];
-            dcur = layer.backward(&cache.inputs[i], &dz, g);
+            dcur = layer.backward(&cache.acts[i], &dz, g);
         }
         dcur
     }
@@ -279,6 +289,74 @@ impl Mlp {
             *p -= lr * g;
         }
         self.read_params(&flat);
+    }
+
+    /// One SGD step on the example whose forward pass `cache` holds
+    /// ([`Mlp::forward_into`]): backpropagate `grad_out = dL/d(output)` and
+    /// apply `p -= lr·g` to every parameter as soon as its gradient `g` is
+    /// formed, so no gradient vector is stored.
+    ///
+    /// For any finite `lr ≥ 0` the parameters end **bit for bit** where
+    /// [`Mlp::backward`] into zeroed gradients followed by
+    /// [`Mlp::sgd_step`] leaves them: each layer's input gradient uses its
+    /// weights from before their update, and each update repeats the
+    /// reference's arithmetic. When given, `tap` (flat layout, as
+    /// [`Mlp::write_params`]) has the gradient added into it entry by
+    /// entry. Rows whose `dz` is zero are skipped there too; their
+    /// gradient is `+0.0`, so only a `-0.0` tap entry could tell. When
+    /// given, `input_grad` receives `dL/d(input)`; the first layer's input
+    /// gradient is computed only for it. The cache's activations are left
+    /// as they were; its backward scratch is overwritten.
+    ///
+    /// # Panics
+    /// Panics when `grad_out`, `tap` or `input_grad` has the wrong length.
+    pub fn train_step(
+        &mut self,
+        cache: &mut MlpCache,
+        grad_out: &[f64],
+        lr: f64,
+        mut tap: Option<&mut [f64]>,
+        input_grad: Option<&mut [f64]>,
+    ) {
+        assert_eq!(
+            grad_out.len(),
+            self.out_dim(),
+            "output gradient width mismatch"
+        );
+        if let Some(tap) = &tap {
+            assert_eq!(tap.len(), self.param_count(), "flat size mismatch");
+        }
+        let want_input = input_grad.is_some();
+        let MlpCache {
+            acts,
+            pre_acts,
+            delta,
+            delta_in,
+        } = cache;
+        delta.clear();
+        delta.extend_from_slice(grad_out);
+        let mut end = self.param_count();
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            // Through the activation: dz = da * act'(z).
+            let act = self.acts[i];
+            for (d, &z) in delta.iter_mut().zip(&pre_acts[i]) {
+                *d *= act.derivative(z);
+            }
+            let start = end - layer.param_count();
+            let tap = tap.as_deref_mut().map(|t| &mut t[start..end]);
+            if i > 0 || want_input {
+                delta_in.clear();
+                delta_in.resize(layer.in_dim(), 0.0);
+                layer.train_step(&acts[i], delta, lr, tap, Some(delta_in));
+                std::mem::swap(delta, delta_in);
+            } else {
+                layer.train_step(&acts[i], delta, lr, tap, None);
+            }
+            end = start;
+        }
+        if let Some(out) = input_grad {
+            out.copy_from_slice(delta);
+        }
     }
 }
 
