@@ -1,7 +1,7 @@
 //! Micro-benchmark: the `lte-serve` session engine driving a batch of
-//! concurrent Meta* sessions over one shared meta-trained pipeline — the
-//! per-batch cost behind the sessions/sec numbers of the `throughput`
-//! experiment binary.
+//! concurrent Meta* sessions over one shared meta-trained pipeline, through
+//! the scoring-service tick the engine runs on. The engine keeps its
+//! service between iterations, so the pool is encoded once per engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lte_core::config::LteConfig;

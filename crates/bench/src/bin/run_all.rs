@@ -23,7 +23,6 @@ fn main() {
     experiments::fig7::run(&env, out);
     experiments::table2::run(&env, out);
     experiments::fig8::run(&env, out);
-    experiments::throughput::run(&env, out, opts.smoke);
     experiments::scenarios::run(&env, out, opts.smoke);
     experiments::pool_scoring::run(&env, out, opts.smoke);
     experiments::routing::run(&env, out, opts.smoke);

@@ -1,6 +1,5 @@
-//! One module per §VIII table/figure, plus the [`throughput`] serving
-//! sweep, the [`scenarios`] mixed-traffic workload simulation, and the
-//! [`pool_scoring`] latency ladder. Each exposes
+//! One module per §VIII table/figure, plus the [`scenarios`] mixed-traffic
+//! workload simulation and the [`pool_scoring`] latency ladder. Each exposes
 //! `run(&BenchEnv, Option<&Path>)` (plus a `smoke` flag for [`scenarios`]
 //! and [`pool_scoring`]) printing the reproduction table (and writing CSV
 //! when an output directory is given); the thin binaries in `src/bin/` and
@@ -15,4 +14,3 @@ pub mod pool_scoring;
 pub mod routing;
 pub mod scenarios;
 pub mod table2;
-pub mod throughput;

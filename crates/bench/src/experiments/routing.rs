@@ -179,7 +179,7 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
             .collect();
         let engine = SessionEngine::with_workers(Arc::clone(pipeline), workers);
         let t0 = Instant::now();
-        let outcomes = engine.run_sessions_fused(servable, &pool);
+        let outcomes = engine.run_sessions(servable, &pool);
         let wall = t0.elapsed().as_secs_f64();
         let mut scores = vec![(0.0, false); sessions];
         for o in &outcomes {

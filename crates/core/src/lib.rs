@@ -70,8 +70,6 @@ pub use oracle::{
 };
 pub use pipeline::LtePipeline;
 pub use routing::{PipelineRegistry, Router, RoutingDecision};
-pub use scenario::{
-    explore_behavioral, BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger,
-};
+pub use scenario::{BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger};
 pub use scorer::{FusedRequest, ScoreRequest, Scorer};
 pub use uis::UisMode;

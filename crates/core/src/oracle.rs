@@ -8,6 +8,7 @@
 //! full-space UIR, `Ru = ∧ Ri`.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use lte_data::rng::{derive_seed, unit_from};
 use lte_data::subspace::Subspace;
@@ -204,9 +205,11 @@ impl Cadence {
 /// stochastic choices are counter-based off `seed`, so a session replays
 /// bit-identically on any worker count.
 ///
-/// Round bookkeeping uses interior mutability ([`Cell`]) so the oracle can
+/// Round bookkeeping uses interior mutability (atomics) so the oracle can
 /// be driven through the `&self`-based [`SubspaceOracle`] seam; construct
-/// one per session (it is `Send` but not `Sync`).
+/// one per session. It is `Sync`, so a serving engine can run a session's
+/// round on any worker, but its label stream is deterministic only while
+/// one thread at a time draws labels from it.
 pub struct BehaviorOracle {
     initial: ConjunctiveOracle,
     shifted: Option<(usize, ConjunctiveOracle)>,
@@ -214,8 +217,11 @@ pub struct BehaviorOracle {
     abandon_after: Option<usize>,
     cadence: Cadence,
     seed: u64,
-    round: Cell<usize>,
-    labels: Cell<u64>,
+    // `Relaxed` suffices: both counters publish no other data, and the
+    // threads that take turns driving a session synchronise through the
+    // engine's own joins.
+    round: AtomicUsize,
+    labels: AtomicU64,
 }
 
 impl BehaviorOracle {
@@ -229,8 +235,8 @@ impl BehaviorOracle {
             abandon_after: None,
             cadence: Cadence::instant(),
             seed,
-            round: Cell::new(0),
-            labels: Cell::new(0),
+            round: AtomicUsize::new(0),
+            labels: AtomicU64::new(0),
         }
     }
 
@@ -264,7 +270,7 @@ impl BehaviorOracle {
     /// Start round `round` (0-based). Returns `false` when the analyst has
     /// abandoned the session — no labels may be drawn for this round.
     pub fn begin_round(&self, round: usize) -> bool {
-        self.round.set(round);
+        self.round.store(round, Ordering::Relaxed);
         self.abandon_after.is_none_or(|k| round < k)
     }
 
@@ -279,7 +285,7 @@ impl BehaviorOracle {
     /// Ground truth in effect for the round last passed to
     /// [`Self::begin_round`].
     pub fn current_truth(&self) -> &ConjunctiveOracle {
-        self.truth_at(self.round.get())
+        self.truth_at(self.round.load(Ordering::Relaxed))
     }
 
     /// Ground truth the analyst ends the session with (what final accuracy
@@ -290,7 +296,7 @@ impl BehaviorOracle {
 
     /// True when a shift is configured and the current round has reached it.
     pub fn has_drifted(&self) -> bool {
-        matches!(&self.shifted, Some((at, _)) if self.round.get() >= *at)
+        matches!(&self.shifted, Some((at, _)) if self.round.load(Ordering::Relaxed) >= *at)
     }
 
     /// True when a shift is configured at all.
@@ -310,7 +316,7 @@ impl BehaviorOracle {
 
     /// Total labels emitted across all rounds so far.
     pub fn labels_emitted(&self) -> u64 {
-        self.labels.get()
+        self.labels.load(Ordering::Relaxed)
     }
 
     /// Simulated think time before `round` (see
@@ -334,8 +340,7 @@ impl BehaviorOracle {
     }
 
     fn apply_noise(&self, truth: bool) -> bool {
-        let n = self.labels.get();
-        self.labels.set(n + 1);
+        let n = self.labels.fetch_add(1, Ordering::Relaxed);
         if self.noise > 0.0 && unit_from(derive_seed(derive_seed(self.seed, 777), n)) < self.noise {
             !truth
         } else {

@@ -26,6 +26,7 @@ use lte_data::rng::{derive_seed, seeded};
 use lte_data::subspace::Subspace;
 use lte_data::table::Table;
 use lte_geom::RegionUnion;
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Timing and quality report of the offline phase.
@@ -116,23 +117,31 @@ impl RoundTruth {
     /// Test each projected pool row against `region` once and score the
     /// round's `predictions` (one per row) against the result.
     pub fn evaluate(region: &RegionUnion, proj: &[Vec<f64>], predictions: &[bool]) -> Self {
-        let mask: Vec<bool> = proj.iter().map(|row| region.contains(row)).collect();
+        let mask = pool_mask(region, proj);
         let f1 =
             ConfusionMatrix::from_pairs(predictions.iter().copied().zip(mask.iter().copied())).f1();
         Self { mask, f1 }
     }
 }
 
-/// Folds an exploration's rounds into its [`UirOutcome`]. Predictions and
-/// ground truth are both AND-ed over the rounds, one flag per pool row,
-/// so the conjunctive confusion needs no second pass over the full rows.
-/// This equals labelling every row with [`ConjunctiveOracle::label`]
-/// because the truth's subspaces are the pipeline's, which
-/// [`LtePipeline::explore_with_pool`] and the serving engine both require.
+/// Which projected pool rows `region` contains.
+fn pool_mask(region: &RegionUnion, proj: &[Vec<f64>]) -> Vec<bool> {
+    proj.iter().map(|row| region.contains(row)).collect()
+}
+
+/// Folds an exploration's rounds into its [`UirOutcome`], keeping one
+/// pool mask per (truth version, subspace). A truth version is the
+/// caller's number for each ground truth a session holds: 0 throughout
+/// when the truth never changes, another one after an analyst's interest
+/// drifts. One version's masks AND-ed over every subspace equal
+/// [`ConjunctiveOracle::label`] on the full rows, because the truth's
+/// subspaces are the pipeline's, which [`LtePipeline::explore_with_pool`]
+/// and the serving engine both require.
 #[derive(Debug, Clone)]
 pub struct UirTally {
-    pred: Vec<bool>,
-    truth: Vec<bool>,
+    rows: usize,
+    masks: BTreeMap<(usize, usize), Vec<bool>>,
+    versions: Vec<usize>,
     per_subspace_f1: Vec<f64>,
     online_seconds: f64,
     subspace_outcomes: Vec<ExploreOutcome>,
@@ -142,38 +151,104 @@ impl UirTally {
     /// An empty tally over a pool of `rows` rows.
     pub fn new(rows: usize) -> Self {
         Self {
-            pred: vec![true; rows],
-            truth: vec![true; rows],
+            rows,
+            masks: BTreeMap::new(),
+            versions: Vec::new(),
             per_subspace_f1: Vec::new(),
             online_seconds: 0.0,
             subspace_outcomes: Vec::new(),
         }
     }
 
-    /// Fold in one finished round and its ground truth.
+    /// Fold in one finished round and its ground truth, under truth
+    /// version 0.
     pub fn push(&mut self, outcome: ExploreOutcome, truth: RoundTruth) {
-        for (p, &q) in self.pred.iter_mut().zip(&outcome.predictions) {
-            *p &= q;
-        }
-        for (t, &q) in self.truth.iter_mut().zip(&truth.mask) {
-            *t &= q;
-        }
+        self.push_under(0, outcome, truth);
+    }
+
+    /// Fold in one finished round whose ground truth is truth version
+    /// `version`. Round `i` explores subspace `i`.
+    pub fn push_under(&mut self, version: usize, outcome: ExploreOutcome, truth: RoundTruth) {
+        let subspace = self.subspace_outcomes.len();
+        self.masks.insert((version, subspace), truth.mask);
+        self.versions.push(version);
         self.per_subspace_f1.push(truth.f1);
         self.online_seconds += outcome.online_seconds;
         self.subspace_outcomes.push(outcome);
     }
 
-    /// The exploration's outcome, with `labels_used` labels consumed.
+    /// Test every mask that scoring against each of `versions` over
+    /// `subspaces` subspaces needs and no round tested. `truth(version,
+    /// subspace)` names that truth's region and the projected pool rows.
+    pub fn test_missing<'a>(
+        &mut self,
+        versions: &[usize],
+        subspaces: usize,
+        truth: impl Fn(usize, usize) -> (&'a RegionUnion, &'a [Vec<f64>]),
+    ) {
+        for &version in versions {
+            for subspace in 0..subspaces {
+                self.masks.entry((version, subspace)).or_insert_with(|| {
+                    let (region, proj) = truth(version, subspace);
+                    pool_mask(region, proj)
+                });
+            }
+        }
+    }
+
+    /// The conjunctive F1 after each round against the truth version that
+    /// round ran under, over every subspace (see [`UirTally::test_missing`]).
+    pub fn f1_by_round(&self) -> Vec<f64> {
+        let mut pred = vec![true; self.rows];
+        self.subspace_outcomes
+            .iter()
+            .zip(&self.versions)
+            .map(|(outcome, &version)| {
+                and_into(&mut pred, &outcome.predictions);
+                self.confusion(&pred, version).f1()
+            })
+            .collect()
+    }
+
+    /// The exploration's outcome, with `labels_used` labels consumed,
+    /// scored against truth version 0.
     pub fn finish(self, labels_used: usize) -> UirOutcome {
-        let confusion =
-            ConfusionMatrix::from_pairs(self.pred.iter().copied().zip(self.truth.iter().copied()));
+        self.finish_under(0, labels_used)
+    }
+
+    /// The exploration's outcome, with `labels_used` labels consumed,
+    /// scored against the truth the session ends with, `version`.
+    pub fn finish_under(self, version: usize, labels_used: usize) -> UirOutcome {
+        let mut pred = vec![true; self.rows];
+        for outcome in &self.subspace_outcomes {
+            and_into(&mut pred, &outcome.predictions);
+        }
         UirOutcome {
-            confusion,
+            confusion: self.confusion(&pred, version),
             per_subspace_f1: self.per_subspace_f1,
             online_seconds: self.online_seconds,
             labels_used,
             subspace_outcomes: self.subspace_outcomes,
         }
+    }
+
+    /// `pred` against truth version `version`'s masks AND-ed.
+    fn confusion(&self, pred: &[bool], version: usize) -> ConfusionMatrix {
+        let mut truth = vec![true; self.rows];
+        for mask in self
+            .masks
+            .range((version, 0)..(version + 1, 0))
+            .map(|(_, m)| m)
+        {
+            and_into(&mut truth, mask);
+        }
+        ConfusionMatrix::from_pairs(pred.iter().copied().zip(truth))
+    }
+}
+
+fn and_into(acc: &mut [bool], flags: &[bool]) {
+    for (a, &f) in acc.iter_mut().zip(flags) {
+        *a &= f;
     }
 }
 

@@ -1,13 +1,12 @@
-//! Simulated-analyst sessions: behavior configs and behavioral exploration.
+//! Simulated-analyst sessions: behavior configs and their outcomes.
 //!
 //! The paper evaluates against perfectly steady oracles; real analysts
 //! shift focus, mislabel, and abandon mid-session (Saha et al., see
-//! PAPERS.md). This module turns a [`crate::oracle::BehaviorOracle`]
-//! description into a full exploration session over a trained
-//! [`LtePipeline`]: [`BehaviorConfig`] says *how* an analyst behaves,
-//! [`DriftSpec`] says how their interest region moves, and
-//! [`explore_behavioral`] runs the session round by round — the unit the
-//! serving-layer scenario mixer composes into traffic.
+//! PAPERS.md). [`BehaviorConfig`] says *how* an analyst behaves and
+//! builds the session's [`crate::oracle::BehaviorOracle`], [`DriftSpec`]
+//! says how their interest region moves, and [`BehavioralOutcome`] is
+//! what a session reports. The serving engine (`lte-serve`) runs these
+//! sessions round by round on the same tick as every other session.
 //!
 //! Determinism contract: with [`BehaviorConfig::steady`], a behavioral
 //! session reproduces [`LtePipeline::explore`] exactly (same per-subspace
@@ -15,7 +14,7 @@
 //! comparable to the static-oracle figures.
 
 use crate::drift::DriftReport;
-use crate::explore::{explore_subspace, ExploreOutcome, Variant};
+use crate::explore::ExploreOutcome;
 use crate::metrics::ConfusionMatrix;
 use crate::oracle::{BehaviorOracle, Cadence, ConjunctiveOracle};
 use crate::pipeline::LtePipeline;
@@ -219,114 +218,6 @@ impl BehavioralOutcome {
     }
 }
 
-/// Run one simulated-analyst session over a trained pipeline.
-///
-/// Mirrors [`LtePipeline::explore`] round by round — same per-subspace seed
-/// stream — but labels flow through the analyst (noise + current truth),
-/// rounds stop at abandonment, and simulated think time accumulates.
-pub fn explore_behavioral(
-    pipeline: &LtePipeline,
-    truth: &ConjunctiveOracle,
-    behavior: &BehaviorConfig,
-    eval_rows: &[Vec<f64>],
-    variant: Variant,
-    seed: u64,
-) -> BehavioralOutcome {
-    assert_eq!(
-        truth.parts().len(),
-        pipeline.subspaces().len(),
-        "one ground-truth region per subspace required"
-    );
-    let total_rounds = pipeline.subspaces().len();
-    let analyst = behavior.instantiate(truth.clone(), total_rounds, seed);
-
-    let mut subspace_outcomes = Vec::with_capacity(total_rounds);
-    let mut per_subspace_f1 = Vec::with_capacity(total_rounds);
-    let mut f1_by_round = Vec::with_capacity(total_rounds);
-    let mut online_seconds = 0.0;
-    let mut think_seconds = 0.0;
-    let mut labels_used = 0usize;
-    let mut rounds_run = 0usize;
-    let mut uir_pred = vec![true; eval_rows.len()];
-
-    for (i, ctx) in pipeline.contexts().iter().enumerate() {
-        if !analyst.begin_round(i) {
-            break;
-        }
-        think_seconds += analyst.think_before_round(i);
-
-        let sub = &pipeline.subspaces()[i];
-        let proj: Vec<Vec<f64>> = eval_rows.iter().map(|r| sub.project_row(r)).collect();
-        let view = analyst.subspace_view(i);
-        let learner = match variant {
-            Variant::Basic => None,
-            _ => Some(&pipeline.learners()[i]),
-        };
-
-        let labels_before = analyst.labels_emitted();
-        let outcome = explore_subspace(
-            ctx,
-            learner,
-            &view,
-            &proj,
-            pipeline.config(),
-            variant,
-            derive_seed(seed, 2000 + i as u64),
-        );
-        labels_used += (analyst.labels_emitted() - labels_before) as usize;
-        online_seconds += outcome.online_seconds;
-
-        // Judge this round against the truth the analyst holds *now*.
-        let round_truth = analyst.truth_at(i);
-        let region = &round_truth.parts()[i].1;
-        let sub_confusion = ConfusionMatrix::from_pairs(
-            outcome
-                .predictions
-                .iter()
-                .zip(&proj)
-                .map(|(&pred, row)| (pred, region.contains(row))),
-        );
-        per_subspace_f1.push(sub_confusion.f1());
-
-        for (pred, sub_pred) in uir_pred.iter_mut().zip(&outcome.predictions) {
-            *pred &= sub_pred;
-        }
-        let running = ConfusionMatrix::from_pairs(
-            uir_pred
-                .iter()
-                .zip(eval_rows)
-                .map(|(&pred, row)| (pred, round_truth.label(row))),
-        );
-        f1_by_round.push(running.f1());
-
-        subspace_outcomes.push(outcome);
-        rounds_run = i + 1;
-    }
-
-    let abandoned = rounds_run < total_rounds;
-    let drifted = analyst.shift_round().is_some_and(|at| rounds_run > at);
-    let final_truth = analyst.final_truth(rounds_run.max(1));
-    let confusion = ConfusionMatrix::from_pairs(
-        uir_pred
-            .iter()
-            .zip(eval_rows)
-            .map(|(&pred, row)| (pred, final_truth.label(row))),
-    );
-
-    BehavioralOutcome {
-        confusion,
-        per_subspace_f1,
-        f1_by_round,
-        online_seconds,
-        think_seconds,
-        labels_used,
-        rounds_run,
-        abandoned,
-        drifted,
-        subspace_outcomes,
-    }
-}
-
 /// Probe every subspace context of a pipeline against (possibly updated)
 /// table data — the `probe_drift`-triggered seam: a serving layer can run
 /// this between rounds and rebuild whichever contexts report stale.
@@ -355,7 +246,6 @@ pub fn probe_session_drift(
 mod tests {
     use super::*;
     use crate::config::LteConfig;
-    use crate::uis::UisMode;
     use lte_data::generator::generate_sdss;
     use lte_data::subspace::decompose_sequential;
     use lte_geom::Region;
@@ -411,113 +301,6 @@ mod tests {
         assert!(moved.contains(&[1.5, 1.5]));
         assert!(moved.contains(&[2.9, 2.9]));
         assert!(!moved.contains(&[0.5, 0.5]));
-    }
-
-    #[test]
-    fn behavioral_steady_matches_pipeline_explore() {
-        let (p, table) = tiny_pipeline();
-        let truth = p.generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9);
-        let eval: Vec<Vec<f64>> = (0..250).map(|i| table.row(i).unwrap()).collect();
-
-        let reference = p.explore(&truth, &eval, Variant::Meta, 9);
-        let behavioral = explore_behavioral(
-            &p,
-            &truth,
-            &BehaviorConfig::steady(),
-            &eval,
-            Variant::Meta,
-            9,
-        );
-
-        // Same seed stream + transparent oracle ⇒ identical predictions,
-        // scores, and metrics (timing aside).
-        assert!(!behavioral.abandoned);
-        assert!(!behavioral.drifted);
-        assert_eq!(behavioral.think_seconds, 0.0);
-        assert_eq!(behavioral.rounds_run, 2);
-        assert_eq!(behavioral.confusion, reference.confusion);
-        assert_eq!(behavioral.per_subspace_f1, reference.per_subspace_f1);
-        for (b, r) in behavioral
-            .subspace_outcomes
-            .iter()
-            .zip(&reference.subspace_outcomes)
-        {
-            assert_eq!(b.predictions, r.predictions);
-            let same_scores = b
-                .scores
-                .iter()
-                .zip(&r.scores)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same_scores, "score streams diverged");
-        }
-    }
-
-    #[test]
-    fn behavioral_abandonment_truncates_the_session() {
-        let (p, table) = tiny_pipeline();
-        let truth = p.generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9);
-        let eval: Vec<Vec<f64>> = (0..250).map(|i| table.row(i).unwrap()).collect();
-
-        let mut cfg = BehaviorConfig::steady();
-        cfg.abandon_after = Some(1);
-        let outcome = explore_behavioral(&p, &truth, &cfg, &eval, Variant::Meta, 9);
-        assert!(outcome.abandoned);
-        assert_eq!(outcome.rounds_run, 1);
-        assert_eq!(outcome.subspace_outcomes.len(), 1);
-        assert_eq!(outcome.f1_by_round.len(), 1);
-
-        // The one round it did run is identical to the steady session's.
-        let full = explore_behavioral(
-            &p,
-            &truth,
-            &BehaviorConfig::steady(),
-            &eval,
-            Variant::Meta,
-            9,
-        );
-        assert_eq!(
-            outcome.subspace_outcomes[0].predictions,
-            full.subspace_outcomes[0].predictions
-        );
-    }
-
-    #[test]
-    fn behavioral_drift_is_flagged_and_changes_the_target() {
-        let (p, table) = tiny_pipeline();
-        let truth = p.generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9);
-        let eval: Vec<Vec<f64>> = (0..250).map(|i| table.row(i).unwrap()).collect();
-
-        let cfg = BehaviorConfig {
-            noise: 0.0,
-            drift: Some(DriftSpec {
-                trigger: DriftTrigger::AtRound(1),
-                translate_frac: 0.5,
-                scale: 1.0,
-            }),
-            abandon_after: None,
-            cadence: Cadence::instant(),
-        };
-        let outcome = explore_behavioral(&p, &truth, &cfg, &eval, Variant::Meta, 9);
-        assert!(outcome.drifted);
-        assert_eq!(outcome.rounds_run, 2);
-
-        // Round 0 ran before the shift, so it matches the steady session;
-        // the shifted truth differs from the original on some eval row.
-        let steady = explore_behavioral(
-            &p,
-            &truth,
-            &BehaviorConfig::steady(),
-            &eval,
-            Variant::Meta,
-            9,
-        );
-        assert_eq!(
-            outcome.subspace_outcomes[0].predictions,
-            steady.subspace_outcomes[0].predictions
-        );
-        let shifted = cfg.drift.unwrap().shift_truth(&truth);
-        let differs = eval.iter().any(|r| shifted.label(r) != truth.label(r));
-        assert!(differs, "a half-extent shift must move some labels");
     }
 
     #[test]

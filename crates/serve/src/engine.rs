@@ -1,15 +1,20 @@
 //! The session engine: N concurrent online explorations over one shared
-//! pipeline.
+//! pipeline, served by one long-lived [`ScoringService`].
 
+use crate::service::{ScoringService, ServiceOutcome};
 use crate::stats::ThroughputStats;
 use lte_core::explore::Variant;
 use lte_core::oracle::ConjunctiveOracle;
-use lte_core::parallel::{default_threads, parallel_map};
+use lte_core::parallel::default_threads;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
 use lte_core::uis::UisMode;
 use lte_data::rng::derive_seed;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The name of an engine's one shard.
+pub(crate) const ENGINE_SHARD: &str = "engine";
 
 /// One user's exploration session: who answers the labelling rounds (the
 /// oracle), which LTE variant runs, and the seed driving the session's
@@ -27,17 +32,13 @@ pub struct SessionRequest {
     pub seed: u64,
 }
 
-/// The completed session: the full per-round exploration outcome plus the
-/// engine-side wall-clock.
+/// The completed session: the full per-round exploration outcome.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// The request's identifier.
     pub id: u64,
     /// The conjunctive exploration result (per-subspace rounds inside).
     pub outcome: UirOutcome,
-    /// Wall-clock seconds of the whole session as seen by the engine
-    /// (labelling rounds + prediction, queueing excluded).
-    pub wall_seconds: f64,
 }
 
 /// A serving engine over one shared, immutable, meta-trained pipeline.
@@ -46,10 +47,23 @@ pub struct SessionOutcome {
 /// memories are read-only at serving time (online adaptation clones the
 /// initialization per session; see [`lte_core::meta_learner::MetaLearner::adapt`]),
 /// so any number of sessions can share them without locks.
-#[derive(Debug, Clone)]
+///
+/// Every call runs its sessions on one [`ScoringService`] whose one shard
+/// is this pipeline over the call's pool. The engine keeps that service
+/// between calls: a call over the same rows, bit for bit, reuses the
+/// shard's encoded pool, and a call over other rows replaces the service.
+/// Calls on one engine take turns; a clone starts without a service.
+#[derive(Debug)]
 pub struct SessionEngine {
     pipeline: Arc<LtePipeline>,
     workers: usize,
+    service: Mutex<Option<ScoringService>>,
+}
+
+impl Clone for SessionEngine {
+    fn clone(&self) -> Self {
+        Self::with_workers(Arc::clone(&self.pipeline), self.workers)
+    }
 }
 
 impl SessionEngine {
@@ -63,6 +77,7 @@ impl SessionEngine {
         Self {
             pipeline,
             workers: workers.max(1),
+            service: Mutex::new(None),
         }
     }
 
@@ -111,25 +126,32 @@ impl SessionEngine {
             .collect()
     }
 
-    /// Run every session to completion across the worker pool. Outcomes
+    /// Run every session to completion on the engine's service. Outcomes
     /// come back **in request order** and their contents (predictions,
-    /// scores, confusion, labels) are independent of the worker count;
-    /// only the wall-clock fields vary run to run.
+    /// scores, confusion, labels) are bit-identical to
+    /// [`LtePipeline::explore`] at any worker count; only the timing
+    /// fields vary run to run.
+    ///
+    /// # Panics
+    /// Panics when a request's ground truth is not over the pipeline's
+    /// subspaces, as [`ScoringService::submit`] does. The engine is
+    /// then left with no session of the call.
     pub fn run_sessions(
         &self,
         requests: Vec<SessionRequest>,
         eval_rows: &[Vec<f64>],
     ) -> Vec<SessionOutcome> {
-        let pipeline = &self.pipeline;
-        parallel_map(requests, self.workers, move |req| {
-            let t0 = Instant::now();
-            let outcome = pipeline.explore(&req.truth, eval_rows, req.variant, req.seed);
-            SessionOutcome {
-                id: req.id,
-                outcome,
-                wall_seconds: t0.elapsed().as_secs_f64(),
+        self.serve(eval_rows, |service| {
+            for req in requests {
+                service.submit(ENGINE_SHARD, req);
             }
         })
+        .into_iter()
+        .map(|o| SessionOutcome {
+            id: o.id,
+            outcome: o.outcome,
+        })
+        .collect()
     }
 
     /// [`SessionEngine::run_sessions`] plus aggregate throughput/latency
@@ -145,6 +167,55 @@ impl SessionEngine {
         let stats = ThroughputStats::collect(&outcomes, wall, self.workers);
         (outcomes, stats)
     }
+
+    /// Submit one call's sessions through `submit` to the engine's service
+    /// over `eval_rows`, tick until idle, and return their outcomes in
+    /// submission order.
+    pub(crate) fn serve(
+        &self,
+        eval_rows: &[Vec<f64>],
+        submit: impl FnOnce(&mut ScoringService),
+    ) -> Vec<ServiceOutcome> {
+        let mut slot = self
+            .service
+            .lock()
+            .expect("the engine's lock is never held while a call unwinds");
+        let mut service = match slot.take() {
+            Some(service) if same_bits(service.shard_rows(0), eval_rows) => service,
+            _ => ScoringService::builder()
+                .workers(self.workers)
+                .shard(ENGINE_SHARD, Arc::clone(&self.pipeline), eval_rows.to_vec())
+                .build(),
+        };
+        // A call that panics drops its service, and with it every session
+        // the call parked; the lock is released before the panic resumes,
+        // so it is not poisoned.
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            submit(&mut service);
+            service.run_until_idle();
+            let mut done = service.take_completed();
+            done.sort_by_key(|o| o.submit_seq);
+            done
+        }));
+        match run {
+            Ok(done) => {
+                *slot = Some(service);
+                done
+            }
+            Err(payload) => {
+                drop(slot);
+                panic::resume_unwind(payload)
+            }
+        }
+    }
+}
+
+/// True when both pools hold the same rows, bit for bit.
+fn same_bits(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
 }
 
 #[cfg(test)]
@@ -176,7 +247,7 @@ mod tests {
         assert_eq!(outcomes.len(), 8);
         for (req, got) in requests.into_iter().zip(&outcomes) {
             assert_eq!(req.id, got.id, "outcomes must keep request order");
-            // The exact single-session path the engine wraps.
+            // The single-session reference path.
             let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
             assert_eq!(solo.confusion, got.outcome.confusion);
             assert_eq!(solo.labels_used, got.outcome.labels_used);
@@ -213,6 +284,43 @@ mod tests {
         assert!(stats.round_p95_seconds >= stats.round_p50_seconds);
         assert!(stats.round_p50_seconds > 0.0);
         assert_eq!(outcomes.len(), 5);
+    }
+
+    #[test]
+    fn the_service_is_kept_for_equal_rows_only() {
+        let (pipeline, pool) = tiny_pipeline();
+        let engine = SessionEngine::with_workers(pipeline, 1);
+        let requests = engine.simulate_requests(2, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 5);
+        let completed = |engine: &SessionEngine| {
+            let slot = engine.service.lock().expect("not poisoned");
+            slot.as_ref().map(|s| s.stats().sessions_completed)
+        };
+        engine.run_sessions(requests.clone(), &pool);
+        engine.run_sessions(requests.clone(), &pool);
+        assert_eq!(completed(&engine), Some(4), "equal rows reuse the service");
+        let mut other = pool.clone();
+        other[0][0] = -other[0][0];
+        engine.run_sessions(requests.clone(), &other);
+        assert_eq!(completed(&engine), Some(2), "other rows replace it");
+        assert_eq!(
+            completed(&engine.clone()),
+            None,
+            "a clone starts without one"
+        );
+
+        let mut foreign = requests[0].clone();
+        foreign.truth = ConjunctiveOracle::new(Vec::new());
+        let call = panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.run_sessions(vec![requests[1].clone(), foreign], &other)
+        }));
+        assert!(call.is_err(), "submit rejects a truth over other subspaces");
+        assert!(!engine.service.is_poisoned());
+        assert_eq!(
+            completed(&engine),
+            None,
+            "a panicking call drops its service"
+        );
+        assert_eq!(engine.run_sessions(requests, &other).len(), 2);
     }
 
     #[test]

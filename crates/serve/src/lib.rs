@@ -8,12 +8,20 @@
 //! analysts issue labelling rounds at once against the same models — but
 //! the core crate only exposes one-session-at-a-time entry points.
 //!
-//! This crate adds the serving layer:
+//! This crate adds the serving layer. One loop serves every session:
 //!
-//! * [`SessionEngine`] — owns an `Arc<LtePipeline>` (the shared read-only
-//!   meta-trained state) and drives N concurrent sessions through the
-//!   existing `explore_subspace`/pipeline machinery on the worker pool in
-//!   [`lte_core::parallel`],
+//! * [`ScoringService`] — the tick-driven batched path: sessions from all
+//!   shards advance one subspace round per tick, every tick's
+//!   pool-scoring requests fuse into one wide
+//!   [`lte_core::scorer::score_fused_with`] call, and each shard's encoded
+//!   pool is cached per pipeline epoch instead of rebuilt per session per
+//!   round. Admission is asynchronous ([`AdmissionQueue`]: submit never
+//!   occupies a worker) and the served pipeline hot-swaps under load
+//!   through a [`SwapCell`] without torn reads (see `docs/SERVING.md`),
+//! * [`SessionEngine`] — a facade over one long-lived service whose one
+//!   shard is an `Arc<LtePipeline>` (the shared read-only meta-trained
+//!   state) over the caller's pool; the pool is encoded once per engine,
+//!   not once per session,
 //! * [`SessionRequest`] / [`SessionOutcome`] — one user's exploration in
 //!   and out,
 //! * [`ThroughputStats`] — sessions/sec and p50/p95 round latency for
@@ -21,15 +29,8 @@
 //! * [`ScenarioConfig`] / [`SessionEngine::run_scenario`] — mixed-traffic
 //!   workload simulation: cohorts of simulated analysts (steady, drifting,
 //!   churning; see [`lte_core::scenario`]) composed into one reproducible
-//!   batch, reported per cohort by [`ScenarioReport`],
-//! * [`ScoringService`] — the cross-session batched path: sessions from
-//!   all shards advance in ticks, every tick's pool-scoring requests fuse
-//!   into one wide [`lte_core::scorer::score_fused_with`] call, and
-//!   each shard's encoded pool is cached per pipeline epoch instead of
-//!   rebuilt per session per round. Admission is asynchronous
-//!   ([`AdmissionQueue`]: submit never occupies a worker) and the served
-//!   pipeline hot-swaps under load through a [`SwapCell`] without torn
-//!   reads. See `docs/SERVING.md`.
+//!   batch that rides the same tick, reported per cohort by
+//!   [`ScenarioReport`].
 //!
 //! **Determinism guarantee:** session results depend only on each request's
 //! seed and truth, never on the worker count or scheduling — outputs come
@@ -83,4 +84,4 @@ pub use service::{
     RoutedSession, ScoringService, ScoringServiceBuilder, ServiceOutcome, ServiceStats, TickReport,
 };
 pub use stats::{percentile, CohortStats, ScenarioReport, ThroughputStats};
-pub use swap::SwapCell;
+pub use swap::{DecompositionMismatch, SwapCell};

@@ -4,16 +4,18 @@
 //! [`BehaviorConfig`] and a traffic share — into one reproducible batch of
 //! sessions. Cohort assignment is largest-remainder apportionment followed
 //! by a seeded Fisher–Yates shuffle, so the exact cohort of every session
-//! slot is a pure function of the scenario config; running the batch on 1
-//! worker or 32 yields byte-identical per-cohort reports (timing fields
-//! aside), pinned by `tests/scenario_determinism.rs`.
+//! slot is a pure function of the scenario config. The sessions ride the
+//! engine's [`crate::ScoringService`] tick like any other, each with its
+//! cohort's analyst, so running the batch on 1 worker or 32 yields
+//! byte-identical per-cohort reports (timing fields aside), pinned by
+//! `tests/scenario_determinism.rs`.
 
-use crate::engine::SessionEngine;
+use crate::engine::{SessionEngine, SessionRequest, ENGINE_SHARD};
+use crate::service::ServiceOutcome;
 use crate::stats::ScenarioReport;
 use lte_core::explore::Variant;
 use lte_core::oracle::ConjunctiveOracle;
-use lte_core::parallel::parallel_map;
-use lte_core::scenario::{explore_behavioral, BehaviorConfig, BehavioralOutcome};
+use lte_core::scenario::{BehaviorConfig, BehavioralOutcome};
 use lte_core::uis::UisMode;
 use lte_data::rng::{derive_seed, seeded};
 use rand::Rng;
@@ -166,8 +168,6 @@ pub struct ScenarioOutcome {
     pub cohort: usize,
     /// The behavioral session result.
     pub outcome: BehavioralOutcome,
-    /// Wall-clock seconds of the session as seen by the engine.
-    pub wall_seconds: f64,
 }
 
 impl SessionEngine {
@@ -192,48 +192,207 @@ impl SessionEngine {
             .collect()
     }
 
-    /// Run a full mixed-traffic scenario across the worker pool and
-    /// aggregate per-cohort statistics. Outcome contents are independent
-    /// of the worker count; only measured timing varies.
+    /// Run a full mixed-traffic scenario on the engine's service and
+    /// aggregate per-cohort statistics. Outcomes come back in request
+    /// order; their contents are independent of the worker count, and
+    /// only measured timing varies.
     pub fn run_scenario(
         &self,
         cfg: &ScenarioConfig,
         eval_rows: &[Vec<f64>],
     ) -> (Vec<ScenarioOutcome>, ScenarioReport) {
         let requests = self.scenario_requests(cfg);
-        let pipeline = self.pipeline();
-        let cohorts = &cfg.cohorts;
-        let variant = cfg.variant;
+        let cohorts: Vec<usize> = requests.iter().map(|r| r.cohort).collect();
         let t0 = Instant::now();
-        let outcomes = parallel_map(requests, self.workers(), move |req| {
-            let s0 = Instant::now();
-            let outcome = explore_behavioral(
-                pipeline,
-                &req.truth,
-                &cohorts[req.cohort].behavior,
-                eval_rows,
-                variant,
-                req.seed,
-            );
-            ScenarioOutcome {
-                id: req.id,
-                cohort: req.cohort,
-                outcome,
-                wall_seconds: s0.elapsed().as_secs_f64(),
+        let done = self.serve(eval_rows, |service| {
+            for req in requests {
+                let request = SessionRequest {
+                    id: req.id,
+                    truth: req.truth,
+                    variant: cfg.variant,
+                    seed: req.seed,
+                };
+                service.submit_analyst(ENGINE_SHARD, request, &cfg.cohorts[req.cohort].behavior);
             }
         });
+        let outcomes: Vec<ScenarioOutcome> = done
+            .into_iter()
+            .zip(cohorts)
+            .map(|(o, cohort)| ScenarioOutcome {
+                id: o.id,
+                cohort,
+                outcome: behavioral(o),
+            })
+            .collect();
         let wall = t0.elapsed().as_secs_f64();
         let report = ScenarioReport::collect(cfg, &outcomes, wall, self.workers());
         (outcomes, report)
     }
 }
 
+/// A scenario session's outcome, from the service's.
+fn behavioral(o: ServiceOutcome) -> BehavioralOutcome {
+    let analyst = o
+        .analyst
+        .expect("scenario sessions are submitted with an analyst");
+    BehavioralOutcome {
+        confusion: o.outcome.confusion,
+        per_subspace_f1: o.outcome.per_subspace_f1,
+        f1_by_round: analyst.f1_by_round,
+        online_seconds: o.outcome.online_seconds,
+        think_seconds: analyst.think_seconds,
+        labels_used: o.outcome.labels_used,
+        rounds_run: analyst.rounds_run,
+        abandoned: analyst.abandoned,
+        drifted: analyst.drifted,
+        subspace_outcomes: o.outcome.subspace_outcomes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lte_core::config::LteConfig;
+    use lte_core::metrics::ConfusionMatrix;
+    use lte_core::oracle::Cadence;
+    use lte_core::pipeline::LtePipeline;
+    use lte_core::scenario::{DriftSpec, DriftTrigger};
+    use lte_data::generator::generate_sdss;
+    use lte_data::subspace::decompose_sequential;
+    use std::sync::Arc;
 
     fn mix(sessions: usize) -> ScenarioConfig {
         ScenarioConfig::standard_mix(sessions, 42)
+    }
+
+    fn tiny_engine() -> (SessionEngine, Vec<Vec<f64>>) {
+        let table = generate_sdss(3000, 0);
+        let mut cfg = LteConfig::reduced();
+        cfg.train.n_tasks = 60;
+        cfg.train.epochs = 1;
+        let (p, _) = LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, 11);
+        let eval: Vec<Vec<f64>> = (0..250).map(|i| table.row(i).unwrap()).collect();
+        (SessionEngine::with_workers(Arc::new(p), 2), eval)
+    }
+
+    fn truth(engine: &SessionEngine) -> ConjunctiveOracle {
+        engine
+            .pipeline()
+            .generate_truth(UisMode::new(4, 10), 6, 0.25, 0.9)
+    }
+
+    /// One analyst's Meta session, seed 9, on the engine's service.
+    fn run_analyst(
+        engine: &SessionEngine,
+        behavior: &BehaviorConfig,
+        eval: &[Vec<f64>],
+    ) -> BehavioralOutcome {
+        let request = SessionRequest {
+            id: 0,
+            truth: truth(engine),
+            variant: Variant::Meta,
+            seed: 9,
+        };
+        let mut done = engine.serve(eval, |service| {
+            service.submit_analyst(ENGINE_SHARD, request, behavior);
+        });
+        assert_eq!(done.len(), 1);
+        behavioral(done.pop().expect("one session"))
+    }
+
+    #[test]
+    fn behavioral_steady_matches_pipeline_explore() {
+        let (engine, eval) = tiny_engine();
+        let reference = engine
+            .pipeline()
+            .explore(&truth(&engine), &eval, Variant::Meta, 9);
+        let behavioral = run_analyst(&engine, &BehaviorConfig::steady(), &eval);
+
+        // Same seed stream + transparent oracle ⇒ identical predictions,
+        // scores, and metrics (timing aside).
+        assert!(!behavioral.abandoned);
+        assert!(!behavioral.drifted);
+        assert_eq!(behavioral.think_seconds, 0.0);
+        assert_eq!(behavioral.rounds_run, 2);
+        assert_eq!(behavioral.labels_used, 2 * reference.labels_used);
+        assert_eq!(behavioral.confusion, reference.confusion);
+        assert_eq!(behavioral.per_subspace_f1, reference.per_subspace_f1);
+        for (b, r) in behavioral
+            .subspace_outcomes
+            .iter()
+            .zip(&reference.subspace_outcomes)
+        {
+            assert_eq!(b.predictions, r.predictions);
+            let same_scores = b
+                .scores
+                .iter()
+                .zip(&r.scores)
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same_scores, "score streams diverged");
+        }
+    }
+
+    #[test]
+    fn behavioral_abandonment_truncates_the_session() {
+        let (engine, eval) = tiny_engine();
+        let mut cfg = BehaviorConfig::steady();
+        cfg.abandon_after = Some(1);
+        let outcome = run_analyst(&engine, &cfg, &eval);
+        assert!(outcome.abandoned);
+        assert_eq!(outcome.rounds_run, 1);
+        assert_eq!(outcome.subspace_outcomes.len(), 1);
+        assert_eq!(outcome.f1_by_round.len(), 1);
+
+        // The one round it did run is identical to the steady session's.
+        let full = run_analyst(&engine, &BehaviorConfig::steady(), &eval);
+        assert_eq!(
+            outcome.subspace_outcomes[0].predictions,
+            full.subspace_outcomes[0].predictions
+        );
+
+        // Abandoning before round 0 runs no round: every pool row stays
+        // predicted interesting, judged against the initial truth.
+        cfg.abandon_after = Some(0);
+        let outcome = run_analyst(&engine, &cfg, &eval);
+        assert!(outcome.abandoned);
+        assert_eq!(outcome.rounds_run, 0);
+        assert_eq!(outcome.labels_used, 0);
+        assert!(outcome.subspace_outcomes.is_empty());
+        assert!(outcome.f1_by_round.is_empty());
+        let truth = truth(&engine);
+        let expected = ConfusionMatrix::from_pairs(eval.iter().map(|r| (true, truth.label(r))));
+        assert_eq!(outcome.confusion, expected);
+    }
+
+    #[test]
+    fn behavioral_drift_is_flagged_and_changes_the_target() {
+        let (engine, eval) = tiny_engine();
+        let cfg = BehaviorConfig {
+            noise: 0.0,
+            drift: Some(DriftSpec {
+                trigger: DriftTrigger::AtRound(1),
+                translate_frac: 0.5,
+                scale: 1.0,
+            }),
+            abandon_after: None,
+            cadence: Cadence::instant(),
+        };
+        let outcome = run_analyst(&engine, &cfg, &eval);
+        assert!(outcome.drifted);
+        assert_eq!(outcome.rounds_run, 2);
+
+        // Round 0 ran before the shift, so it matches the steady session;
+        // the shifted truth differs from the original on some eval row.
+        let steady = run_analyst(&engine, &BehaviorConfig::steady(), &eval);
+        assert_eq!(
+            outcome.subspace_outcomes[0].predictions,
+            steady.subspace_outcomes[0].predictions
+        );
+        assert_eq!(outcome.per_subspace_f1[0], steady.per_subspace_f1[0]);
+        let truth = truth(&engine);
+        let shifted = cfg.drift.unwrap().shift_truth(&truth);
+        let differs = eval.iter().any(|r| shifted.label(r) != truth.label(r));
+        assert!(differs, "a half-extent shift must move some labels");
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Cross-session batched scoring: the tick-driven [`ScoringService`].
+//! Cross-session batched scoring: the tick-driven [`ScoringService`], the
+//! one loop that serves sessions in this crate.
 //!
-//! The per-session engine ([`SessionEngine::run_sessions`]) runs each
-//! session end to end on one worker: every round re-encodes the retrieval
-//! pool and issues its own small
-//! [`Scorer::score`](lte_core::scorer::Scorer::score) call. At serving
-//! scale (64+ concurrent sessions over the same pool) that shape wastes
-//! the batch structure twice — the pool is projected and encoded once
-//! *per session per round*, and the matmul-heavy scoring runs as many
-//! narrow calls instead of one wide one.
-//!
-//! The service inverts the loop. Time advances in **ticks**; each tick:
+//! Run one session at a time and every session projects and encodes the
+//! retrieval pool again, and issues its own small
+//! [`Scorer::score`](lte_core::scorer::Scorer::score) call per round. At
+//! serving scale (64+ concurrent sessions over the same pool) that shape
+//! wastes the batch structure twice. The service inverts the loop. Time
+//! advances in **ticks**; each tick:
 //!
 //! 1. **admit** — promote parked sessions FIFO up to the capacity budget
 //!    ([`crate::admission::AdmissionQueue`]); submission itself never
@@ -20,7 +17,9 @@
 //!    every session sees exactly one `(pipeline, epoch)` pair.
 //! 3. **prepare** — run the label-and-adapt half of one round per active
 //!    session ([`lte_core::explore::prepare_round`]) across the worker
-//!    pool.
+//!    pool. Labels come from the session's analyst
+//!    ([`BehaviorOracle`]): a steady one for a plain [`SessionRequest`],
+//!    whose labels are the ground truth's, or a scenario cohort's.
 //! 4. **score** — fuse every session's pool-scoring request into a single
 //!    [`score_fused_with`] call. Scores are bit-identical to the
 //!    per-session calls (row independence), so fusing is invisible to
@@ -28,11 +27,14 @@
 //! 5. **finish** — predictions and `Meta*` revision
 //!    ([`lte_core::explore::finish_round`]), then the round's ground-truth
 //!    mask over the projected pool and its per-subspace F1
-//!    ([`RoundTruth`]), across the worker pool. A serial fold ANDs each
-//!    round's predictions and mask into the session's [`UirTally`].
-//! 6. **drain** — sessions whose last subspace finished build their UIR
-//!    confusion from those two vectors, with no pass over the pool, emit a
-//!    [`ServiceOutcome`] and release their admission slot.
+//!    ([`RoundTruth`]) against the truth in force, across the worker pool.
+//!    A serial fold files each round into the session's [`UirTally`] and
+//!    lets the analyst start its next round: abandonment, then think time.
+//! 6. **drain** — sessions that run no further round test any mask their
+//!    evaluation still lacks (only a drifting or abandoning analyst has
+//!    one), build their outcome from the tally with no other pass over the
+//!    pool, emit a [`ServiceOutcome`] and release their admission slot, in
+//!    parallel.
 //!
 //! Everything that affects outcomes is counter-based (submission order,
 //! tick index, per-round seed stream `derive_seed(seed, 2000 + round)` —
@@ -44,29 +46,27 @@
 
 use crate::admission::{AdmissionQueue, AdmissionState};
 use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
-use crate::stats::ThroughputStats;
 use crate::swap::SwapCell;
 use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
-use lte_core::oracle::RegionOracle;
+use lte_core::oracle::BehaviorOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, RoundTruth, UirOutcome, UirTally};
 use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
+use lte_core::scenario::BehaviorConfig;
 use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
-use lte_data::subspace::Subspace;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// One dataset served by the service: a swappable pipeline, its retrieval
-/// pool, and the per-epoch encoded-pool cache.
+/// pool, and the per-epoch encoded-pool cache. Every session's truth must
+/// be over the cell's subspace decomposition.
 #[derive(Debug)]
 struct Shard {
     name: String,
     cell: Arc<SwapCell>,
     eval_rows: Vec<Vec<f64>>,
-    /// The subspace decomposition every session's truth and every
-    /// hot-swapped pipeline must match.
-    subspaces: Vec<Subspace>,
     cache: Option<ShardCache>,
 }
 
@@ -92,33 +92,120 @@ struct RoutedGroup {
     shards: Vec<usize>,
 }
 
-/// A session waiting in the admission queue.
-#[derive(Debug)]
-struct PendingSession {
+/// One session from submission to completion: parked in the admission
+/// queue, then advancing one subspace round per tick. Its analyst labels
+/// every round; a plain [`SessionRequest`] gets a steady one.
+struct Session {
     shard: usize,
-    request: SessionRequest,
+    id: u64,
+    variant: Variant,
+    seed: u64,
+    analyst: BehaviorOracle,
+    /// Whether the outcome carries an [`AnalystReport`]: true for a
+    /// scenario cohort's analyst.
+    reports_analyst: bool,
     routing: Option<RoutingDecision>,
     submit_seq: u64,
     submit_tick: u64,
-}
-
-/// A session currently advancing one subspace round per tick.
-#[derive(Debug)]
-struct ActiveSession {
-    shard: usize,
-    request: SessionRequest,
-    routing: Option<RoutingDecision>,
-    submit_seq: u64,
-    submit_tick: u64,
+    /// Set when the session is admitted.
     admitted_tick: u64,
     round: usize,
+    think_seconds: f64,
     tally: UirTally,
     epochs: Vec<u64>,
 }
 
-/// A completed session, with the service-side provenance the per-session
-/// engine cannot express: which pipeline epoch served each round and when
-/// the session moved through the queue.
+impl fmt::Debug for Session {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Session")
+            .field("shard", &self.shard)
+            .field("id", &self.id)
+            .field("submit_seq", &self.submit_seq)
+            .field("round", &self.round)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Session {
+    /// Start the session's next round if it runs one: a subspace is left
+    /// and the analyst does not abandon before it. Then the analyst
+    /// thinks.
+    fn start_round(&mut self, subspaces: usize) -> bool {
+        let starts = self.round < subspaces && self.analyst.begin_round(self.round);
+        if starts {
+            self.think_seconds += self.analyst.think_before_round(self.round);
+        }
+        starts
+    }
+
+    /// The tally's truth version for `round`: the first round of the truth
+    /// in force, so [`BehaviorOracle::truth_at`] of a version is its truth.
+    fn version(&self, round: usize) -> usize {
+        match self.analyst.shift_round() {
+            Some(at) if round >= at => at,
+            _ => 0,
+        }
+    }
+
+    /// Test the masks the session's evaluation still lacks and build its
+    /// outcome, scored against the truth it ends with.
+    fn complete(mut self, shard: &Shard, tick: u64) -> ServiceOutcome {
+        let cache = shard.cache.as_ref().expect("cache refreshed");
+        let subspaces = shard.cell.subspaces().len();
+        let rounds_run = self.round;
+        let last = self.version(rounds_run.max(1) - 1);
+        let mut versions = vec![last];
+        if self.reports_analyst {
+            versions.extend((0..rounds_run).map(|round| self.version(round)));
+        }
+        let analyst = &self.analyst;
+        self.tally
+            .test_missing(&versions, subspaces, |version, sub| {
+                (
+                    &analyst.truth_at(version).parts()[sub].1,
+                    cache.pool.proj(sub),
+                )
+            });
+        let report = self.reports_analyst.then(|| AnalystReport {
+            f1_by_round: self.tally.f1_by_round(),
+            think_seconds: self.think_seconds,
+            rounds_run,
+            abandoned: rounds_run < subspaces,
+            drifted: analyst.shift_round().is_some_and(|at| rounds_run > at),
+        });
+        let labels_used = if self.reports_analyst {
+            analyst.labels_emitted() as usize
+        } else {
+            cache.pipeline.config().budget()
+        };
+        ServiceOutcome {
+            id: self.id,
+            shard: self.shard,
+            outcome: self.tally.finish_under(last, labels_used),
+            epochs: self.epochs,
+            submit_seq: self.submit_seq,
+            submit_tick: self.submit_tick,
+            admitted_tick: self.admitted_tick,
+            completed_tick: tick,
+            routing: self.routing,
+            analyst: report,
+        }
+    }
+}
+
+/// What a scenario analyst's session reports beyond its [`UirOutcome`]
+/// (see [`lte_core::scenario::BehavioralOutcome`]).
+#[derive(Debug, Clone)]
+pub(crate) struct AnalystReport {
+    pub(crate) f1_by_round: Vec<f64>,
+    pub(crate) think_seconds: f64,
+    pub(crate) rounds_run: usize,
+    pub(crate) abandoned: bool,
+    pub(crate) drifted: bool,
+}
+
+/// A completed session, with its service-side provenance: which pipeline
+/// epoch served each round and when the session moved through the queue.
 #[derive(Debug, Clone)]
 pub struct ServiceOutcome {
     /// The request's identifier.
@@ -127,7 +214,8 @@ pub struct ServiceOutcome {
     pub shard: usize,
     /// The full exploration result, bit-identical to what
     /// [`LtePipeline::explore`] would produce against the epoch-matched
-    /// pipelines.
+    /// pipelines. A scenario analyst's session is scored against the truth
+    /// it ends with and counts the labels its analyst drew.
     pub outcome: UirOutcome,
     /// The pipeline epoch each round ran against — exactly one per round;
     /// the hot-swap tests assert there is never a torn epoch.
@@ -146,10 +234,12 @@ pub struct ServiceOutcome {
     /// submissions. The decision (and its explanation) is computed at
     /// submit time and carried through unchanged.
     pub routing: Option<RoutingDecision>,
+    /// `Some` for a scenario analyst's session.
+    pub(crate) analyst: Option<AnalystReport>,
 }
 
 /// What one tick did — returned by [`ScoringService::tick`] so callers
-/// (and the throughput bench) can see the fused batch shape.
+/// can see the fused batch shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// The tick index (0-based).
@@ -169,7 +259,7 @@ pub struct TickReport {
 }
 
 /// Lifetime counters for the service — fused batch widths, rounds, and
-/// scoring time, for capacity planning and the throughput bench.
+/// scoring time, for capacity planning.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Ticks executed.
@@ -318,10 +408,10 @@ impl ScoringServiceBuilder {
 #[derive(Debug)]
 pub struct ScoringService {
     workers: usize,
-    admission: AdmissionQueue<PendingSession>,
+    admission: AdmissionQueue<Session>,
     shards: Vec<Shard>,
     groups: Vec<RoutedGroup>,
-    active: Vec<ActiveSession>,
+    active: Vec<Session>,
     completed: Vec<ServiceOutcome>,
     tick: u64,
     submit_seq: u64,
@@ -355,12 +445,10 @@ impl ScoringService {
             self.shard_index(name).is_none(),
             "shard {name:?} already registered"
         );
-        let subspaces = pipeline.subspaces().to_vec();
         self.shards.push(Shard {
             name: name.to_string(),
             cell: Arc::new(SwapCell::new(pipeline)),
             eval_rows,
-            subspaces,
             cache: None,
         });
         self.shards.len() - 1
@@ -430,9 +518,14 @@ impl ScoringService {
         &self.shards[shard].name
     }
 
+    /// A shard's retrieval pool.
+    pub(crate) fn shard_rows(&self, shard: usize) -> &[Vec<f64>] {
+        &self.shards[shard].eval_rows
+    }
+
     /// The shard's swap cell, for an external retrainer thread: swap a new
-    /// pipeline in at any time; in-flight sessions pick it up at the next
-    /// tick boundary, never mid-round.
+    /// pipeline over the shard's subspaces in at any time; in-flight
+    /// sessions pick it up at the next tick boundary, never mid-round.
     pub fn swap_handle(&self, shard: usize) -> Arc<SwapCell> {
         Arc::clone(&self.shards[shard].cell)
     }
@@ -450,7 +543,21 @@ impl ScoringService {
         let shard = self
             .shard_index(shard)
             .unwrap_or_else(|| panic!("unknown shard {shard:?}"));
-        self.submit_to(shard, request, None)
+        self.submit_to(shard, request, None, None)
+    }
+
+    /// [`ScoringService::submit`] for a simulated analyst who behaves as
+    /// `behavior` says. The outcome carries an [`AnalystReport`].
+    pub(crate) fn submit_analyst(
+        &mut self,
+        shard: &str,
+        request: SessionRequest,
+        behavior: &BehaviorConfig,
+    ) -> AdmissionState {
+        let shard = self
+            .shard_index(shard)
+            .unwrap_or_else(|| panic!("unknown shard {shard:?}"));
+        self.submit_to(shard, request, Some(behavior), None)
     }
 
     /// Submit a session to a routed group: the group's [`Router`] scores
@@ -477,7 +584,7 @@ impl ScoringService {
         let g = &self.groups[g];
         let decision = g.router.route(&g.registry, &request.truth, &g.eval_rows);
         let shard = g.shards[decision.chosen];
-        let state = self.submit_to(shard, request, Some(decision.clone()));
+        let state = self.submit_to(shard, request, None, Some(decision.clone()));
         (state, decision)
     }
 
@@ -485,9 +592,10 @@ impl ScoringService {
         &mut self,
         shard: usize,
         request: SessionRequest,
+        behavior: Option<&BehaviorConfig>,
         routing: Option<RoutingDecision>,
     ) -> AdmissionState {
-        let subspaces = &self.shards[shard].subspaces;
+        let subspaces = self.shards[shard].cell.subspaces();
         assert_eq!(
             request.truth.parts().len(),
             subspaces.len(),
@@ -502,15 +610,34 @@ impl ScoringService {
                 .eq(subspaces),
             "ground-truth subspaces must match the shard's decomposition"
         );
-        let pending = PendingSession {
+        let SessionRequest {
+            id,
+            truth,
+            variant,
+            seed,
+        } = request;
+        let steady = BehaviorConfig::steady();
+        let analyst = behavior
+            .unwrap_or(&steady)
+            .instantiate(truth, subspaces.len(), seed);
+        let session = Session {
             shard,
-            request,
+            id,
+            variant,
+            seed,
+            analyst,
+            reports_analyst: behavior.is_some(),
             routing,
             submit_seq: self.submit_seq,
             submit_tick: self.tick,
+            admitted_tick: self.tick,
+            round: 0,
+            think_seconds: 0.0,
+            tally: UirTally::new(self.shards[shard].eval_rows.len()),
+            epochs: Vec::new(),
         };
         self.submit_seq += 1;
-        self.admission.submit(pending)
+        self.admission.submit(session)
     }
 
     /// Sessions currently parked.
@@ -555,29 +682,25 @@ impl ScoringService {
     pub fn tick(&mut self) -> TickReport {
         let tick = self.tick;
 
-        // (1) Admit parked sessions FIFO up to capacity.
+        // (1) Admit parked sessions FIFO up to capacity. A session whose
+        // analyst abandons before round 0 runs no round and drains below.
         let newly = self.admission.admit();
         let admitted = newly.len();
-        for p in newly {
-            let rows = self.shards[p.shard].eval_rows.len();
-            self.active.push(ActiveSession {
-                shard: p.shard,
-                request: p.request,
-                routing: p.routing,
-                submit_seq: p.submit_seq,
-                submit_tick: p.submit_tick,
-                admitted_tick: tick,
-                round: 0,
-                tally: UirTally::new(rows),
-                epochs: Vec::new(),
-            });
+        let mut ending = Vec::new();
+        for mut s in newly {
+            s.admitted_tick = tick;
+            if s.start_round(self.shards[s.shard].cell.subspaces().len()) {
+                self.active.push(s);
+            } else {
+                ending.push(s);
+            }
         }
         self.stats.peak_active = self.stats.peak_active.max(self.active.len());
 
         // (2) Refresh in-use shard caches: one SwapCell load per shard per
         // tick, so every round this tick sees exactly one (pipeline, epoch).
         let mut in_use = vec![false; self.shards.len()];
-        for s in &self.active {
+        for s in self.active.iter().chain(&ending) {
             in_use[s.shard] = true;
         }
         for (shard, used) in self.shards.iter_mut().zip(&in_use) {
@@ -588,7 +711,7 @@ impl ScoringService {
             if shard.cache.as_ref().map(|c| c.epoch) != Some(epoch) {
                 assert_eq!(
                     pipeline.subspaces(),
-                    shard.subspaces.as_slice(),
+                    shard.cell.subspaces(),
                     "hot-swapped pipeline changed the subspace decomposition"
                 );
                 let pool = pipeline.encode_pool(&shard.eval_rows);
@@ -608,20 +731,17 @@ impl ScoringService {
                 let s = &active[idx];
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
-                let ctx = &pipeline.contexts()[s.round];
-                let (_, region) = &s.request.truth.parts()[s.round];
-                let oracle = RegionOracle::new(region.clone());
-                let learner = match s.request.variant {
+                let learner = match s.variant {
                     Variant::Basic => None,
                     _ => Some(&pipeline.learners()[s.round]),
                 };
                 let prepared = prepare_round(
-                    ctx,
+                    &pipeline.contexts()[s.round],
                     learner,
-                    &oracle,
+                    &s.analyst.subspace_view(s.round),
                     pipeline.config(),
-                    s.request.variant,
-                    derive_seed(s.request.seed, 2000 + s.round as u64),
+                    s.variant,
+                    derive_seed(s.seed, 2000 + s.round as u64),
                 );
                 (idx, prepared)
             });
@@ -649,8 +769,8 @@ impl ScoringService {
         let score_seconds = t0.elapsed().as_secs_f64();
         drop(requests);
 
-        // (5) Finish each round (predictions + Meta* revision) and test its
-        // ground truth over the projected pool, in parallel. The measured
+        // (5) Finish each round (predictions + Meta* revision) and test the
+        // truth in force over the projected pool, in parallel. The measured
         // scoring time is attributed per session by its share of the fused
         // rows — a report-only split; outcomes never depend on it.
         let finish_jobs: Vec<(usize, PreparedRound, Vec<f64>, f64)> = prepared
@@ -679,49 +799,42 @@ impl ScoringService {
                     proj,
                     s_scores,
                     pipeline.config(),
-                    s.request.variant,
+                    s.variant,
                     share,
                 );
-                let (_, region) = &s.request.truth.parts()[s.round];
+                let (_, region) = &s.analyst.truth_at(s.round).parts()[s.round];
                 let truth = RoundTruth::evaluate(region, proj, &outcome.predictions);
                 (idx, outcome, truth)
             },
         );
 
-        // Serial bookkeeping: fold each round into its session.
-        let shards = &self.shards;
+        // Serial bookkeeping: file each round into its session.
         for (idx, outcome, truth) in finished {
             let s = &mut self.active[idx];
-            let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
-            s.tally.push(outcome, truth);
+            let cache = self.shards[s.shard]
+                .cache
+                .as_ref()
+                .expect("cache refreshed");
+            s.tally.push_under(s.version(s.round), outcome, truth);
             s.epochs.push(cache.epoch);
             s.round += 1;
         }
 
-        // (6) Drain sessions whose last subspace just finished.
-        let mut completed = 0usize;
-        let mut still_active = Vec::with_capacity(self.active.len());
-        for s in std::mem::take(&mut self.active) {
-            let shard = &shards[s.shard];
-            if s.round < shard.subspaces.len() {
-                still_active.push(s);
-                continue;
+        // (6) Drain the sessions that run no further round, in parallel.
+        for mut s in std::mem::take(&mut self.active) {
+            if s.start_round(self.shards[s.shard].cell.subspaces().len()) {
+                self.active.push(s);
+            } else {
+                ending.push(s);
             }
-            let cache = shard.cache.as_ref().expect("cache refreshed");
-            self.completed.push(ServiceOutcome {
-                id: s.request.id,
-                shard: s.shard,
-                outcome: s.tally.finish(cache.pipeline.config().budget()),
-                epochs: s.epochs,
-                submit_seq: s.submit_seq,
-                submit_tick: s.submit_tick,
-                admitted_tick: s.admitted_tick,
-                completed_tick: tick,
-                routing: s.routing,
-            });
-            completed += 1;
         }
-        self.active = still_active;
+        let shards = &self.shards;
+        let done = parallel_map(ending, self.workers, |s| {
+            let shard = &shards[s.shard];
+            s.complete(shard, tick)
+        });
+        let completed = done.len();
+        self.completed.extend(done);
         self.admission.release(completed);
 
         // Counters.
@@ -764,7 +877,7 @@ impl ScoringService {
 /// that picked its pipeline.
 #[derive(Debug, Clone)]
 pub struct RoutedSession {
-    /// The session result, in the per-session engine's shape.
+    /// The session result, as [`SessionEngine::run_sessions`] returns it.
     pub outcome: SessionOutcome,
     /// Which registry entry served it, and why (see
     /// [`RoutingDecision::explanation`]).
@@ -781,8 +894,7 @@ impl SessionEngine {
     /// model library — but the worker pool and determinism contract are
     /// the engine's: outcomes come back in request order, bit-identical at
     /// any worker count. With a single-entry registry this degenerates to
-    /// [`SessionEngine::run_sessions_fused`] over that entry's pipeline,
-    /// bitwise.
+    /// [`SessionEngine::run_sessions`] over that entry's pipeline, bitwise.
     pub fn run_sessions_routed(
         &self,
         requests: Vec<SessionRequest>,
@@ -804,54 +916,11 @@ impl SessionEngine {
             .map(|o| RoutedSession {
                 outcome: SessionOutcome {
                     id: o.id,
-                    wall_seconds: o.outcome.online_seconds,
                     outcome: o.outcome,
                 },
                 decision: o.routing.expect("routed submissions carry a decision"),
             })
             .collect()
-    }
-
-    /// [`SessionEngine::run_sessions`] through the fused
-    /// [`ScoringService`]: one "default" shard over this engine's
-    /// pipeline, every session admitted immediately, pool scoring fused
-    /// per tick. Outcomes come back in request order and are bit-identical
-    /// to the per-session path (timing fields aside).
-    pub fn run_sessions_fused(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-    ) -> Vec<SessionOutcome> {
-        self.run_with_stats_fused(requests, eval_rows).0
-    }
-
-    /// [`SessionEngine::run_sessions_fused`] plus aggregate throughput
-    /// statistics, mirroring [`SessionEngine::run_with_stats`].
-    pub fn run_with_stats_fused(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-    ) -> (Vec<SessionOutcome>, ThroughputStats) {
-        let t0 = Instant::now();
-        let mut service = ScoringService::builder().workers(self.workers()).build();
-        service.add_shard("default", self.shared_pipeline(), eval_rows.to_vec());
-        for req in requests {
-            service.submit("default", req);
-        }
-        service.run_until_idle();
-        let mut done = service.take_completed();
-        done.sort_by_key(|o| o.submit_seq);
-        let outcomes: Vec<SessionOutcome> = done
-            .into_iter()
-            .map(|o| SessionOutcome {
-                id: o.id,
-                wall_seconds: o.outcome.online_seconds,
-                outcome: o.outcome,
-            })
-            .collect();
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = ThroughputStats::collect(&outcomes, wall, self.workers());
-        (outcomes, stats)
     }
 }
 
@@ -862,7 +931,7 @@ mod tests {
     use lte_core::oracle::ConjunctiveOracle;
     use lte_core::uis::UisMode;
     use lte_data::generator::generate_sdss;
-    use lte_data::subspace::decompose_sequential;
+    use lte_data::subspace::{decompose_sequential, Subspace};
 
     fn tiny() -> (Arc<LtePipeline>, Vec<Vec<f64>>) {
         let table = generate_sdss(2000, 0);
@@ -922,32 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_wrapper_matches_per_session_engine() {
-        let (pipeline, pool) = tiny();
-        let engine = SessionEngine::with_workers(pipeline, 2);
-        let requests =
-            engine.simulate_requests(4, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 11);
-        let solo = engine.run_sessions(requests.clone(), &pool);
-        let fused = engine.run_sessions_fused(requests, &pool);
-        assert_eq!(solo.len(), fused.len());
-        for (a, b) in solo.iter().zip(&fused) {
-            assert_eq!(a.id, b.id);
-            assert_eq!(a.outcome.confusion, b.outcome.confusion);
-            assert_eq!(a.outcome.per_subspace_f1, b.outcome.per_subspace_f1);
-            for (x, y) in a
-                .outcome
-                .subspace_outcomes
-                .iter()
-                .zip(&b.outcome.subspace_outcomes)
-            {
-                assert_eq!(x.predictions, y.predictions);
-                let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&x.scores), bits(&y.scores));
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "unknown shard")]
     fn submitting_to_an_unknown_shard_panics() {
         let (pipeline, pool) = tiny();
@@ -990,13 +1033,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "hot-swapped pipeline changed the subspace decomposition")]
-    fn hot_swap_to_another_decomposition_panics() {
+    fn hot_swap_to_another_decomposition_is_refused() {
         let (pipeline, pool) = tiny();
         let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 1);
         let requests = engine.simulate_requests(1, UisMode::new(1, 10), 0.2, 0.9, Variant::Meta, 7);
         let mut service = ScoringService::builder().workers(1).build();
-        let shard = service.add_shard("sdss", Arc::clone(&pipeline), pool);
+        let shard = service.add_shard("sdss", Arc::clone(&pipeline), pool.clone());
         service.submit("sdss", requests[0].clone());
         service.tick();
         // Same subspace count and widths, other attributes.
@@ -1006,7 +1048,31 @@ mod tests {
             pipeline.contexts().to_vec(),
             pipeline.learners().to_vec(),
         );
-        service.swap_handle(shard).swap(Arc::new(swapped));
-        service.tick();
+        let cell = service.swap_handle(shard);
+        assert_eq!(
+            cell.swap(Arc::new(swapped)),
+            Err(crate::swap::DecompositionMismatch)
+        );
+        assert_eq!(cell.epoch(), 0, "a refused swap leaves the epoch");
+
+        // The in-flight session finishes on the pipeline it started with.
+        service.run_until_idle();
+        let done = service.take_completed();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].epochs, vec![0, 0]);
+        let req = &requests[0];
+        let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
+        assert_eq!(solo.confusion, done[0].outcome.confusion);
+        assert_eq!(solo.per_subspace_f1, done[0].outcome.per_subspace_f1);
+        for (a, b) in solo
+            .subspace_outcomes
+            .iter()
+            .zip(&done[0].outcome.subspace_outcomes)
+        {
+            assert_eq!(a.predictions, b.predictions);
+            assert_eq!(a.cs_labels, b.cs_labels);
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.scores), bits(&b.scores));
+        }
     }
 }

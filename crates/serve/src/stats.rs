@@ -1,10 +1,12 @@
 //! Serving throughput and latency aggregates.
 //!
-//! A **round** is one labelling round of one subspace session — a single
-//! `explore_subspace` call (initial labels, fast adaptation, pool
-//! prediction). A session over `k` subspaces contributes `k` rounds. Round
-//! latencies are the per-subspace `online_seconds` measured inside the
-//! core, so they exclude engine queueing and oracle labelling time.
+//! A **round** is one session's labelling round of one subspace on one
+//! service tick: initial labels and fast adaptation, the session's share
+//! of the tick's fused pool scoring (by its share of the fused rows), and
+//! the prediction. A session over `k` subspaces contributes up to `k`
+//! rounds. Round latencies are the per-subspace `online_seconds`, so they
+//! exclude admission queueing and the time other sessions' jobs hold the
+//! workers.
 
 use crate::engine::SessionOutcome;
 use crate::scenario::{ScenarioConfig, ScenarioOutcome};

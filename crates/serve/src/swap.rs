@@ -15,8 +15,14 @@
 //! scoring service loads each shard's cell **once per tick**, giving every
 //! round of every session exactly one pipeline epoch (see
 //! `docs/SERVING.md`).
+//!
+//! A cell serves one subspace decomposition for life: in-flight sessions
+//! hold ground truths over it, so [`SwapCell::swap`] refuses a pipeline
+//! over other subspaces when the swap happens, not at the next tick.
 
 use lte_core::pipeline::LtePipeline;
+use lte_data::subspace::Subspace;
+use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// A shared, swappable pipeline slot with an epoch counter.
@@ -27,14 +33,35 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct SwapCell {
     inner: Mutex<(Arc<LtePipeline>, u64)>,
+    subspaces: Vec<Subspace>,
 }
 
+/// The error of [`SwapCell::swap`]: the pipeline explores another subspace
+/// decomposition than the cell's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecompositionMismatch;
+
+impl fmt::Display for DecompositionMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("hot-swapped pipeline changed the subspace decomposition")
+    }
+}
+
+impl std::error::Error for DecompositionMismatch {}
+
 impl SwapCell {
-    /// A cell starting at epoch 0 with the given pipeline.
+    /// A cell starting at epoch 0 with the given pipeline, serving its
+    /// subspace decomposition.
     pub fn new(pipeline: Arc<LtePipeline>) -> Self {
         Self {
+            subspaces: pipeline.subspaces().to_vec(),
             inner: Mutex::new((pipeline, 0)),
         }
+    }
+
+    /// The subspace decomposition every pipeline in this cell explores.
+    pub(crate) fn subspaces(&self) -> &[Subspace] {
+        &self.subspaces
     }
 
     /// Snapshot the current pipeline and its epoch — one lock acquisition,
@@ -53,11 +80,18 @@ impl SwapCell {
     /// In-flight sessions keep their `Arc` clones alive — nothing is
     /// dropped under them; they pick the new epoch up at the next tick
     /// boundary.
-    pub fn swap(&self, pipeline: Arc<LtePipeline>) -> u64 {
+    ///
+    /// # Errors
+    /// [`DecompositionMismatch`] when `pipeline` explores other subspaces
+    /// than the cell's; the cell and its epoch are then unchanged.
+    pub fn swap(&self, pipeline: Arc<LtePipeline>) -> Result<u64, DecompositionMismatch> {
+        if pipeline.subspaces() != self.subspaces.as_slice() {
+            return Err(DecompositionMismatch);
+        }
         let mut guard = self.inner.lock().expect("swap cell poisoned");
         guard.0 = pipeline;
         guard.1 += 1;
-        guard.1
+        Ok(guard.1)
     }
 }
 
@@ -88,11 +122,11 @@ mod tests {
         assert!(Arc::ptr_eq(&p0, &a));
         assert_eq!(e0, 0);
 
-        assert_eq!(cell.swap(Arc::clone(&b)), 1);
+        assert_eq!(cell.swap(Arc::clone(&b)), Ok(1));
         let (p1, e1) = cell.load();
         assert!(Arc::ptr_eq(&p1, &b));
         assert_eq!(e1, 1);
-        assert_eq!(cell.swap(a), 2);
+        assert_eq!(cell.swap(a), Ok(2));
     }
 
     #[test]
@@ -104,7 +138,7 @@ mod tests {
             scope.spawn(|| {
                 for i in 0..50 {
                     let next = if i % 2 == 0 { &b } else { &a };
-                    cell.swap(Arc::clone(next));
+                    cell.swap(Arc::clone(next)).expect("same decomposition");
                 }
             });
             scope.spawn(|| {

@@ -58,7 +58,7 @@ fn run_swapped(
     assert_eq!(r0.rounds, requests.len());
     assert_eq!(r0.fused_rows, requests.len() * eval_rows.len());
     // The retrainer swaps while every session is mid-flight.
-    assert_eq!(handle.swap(Arc::clone(b)), 1);
+    assert_eq!(handle.swap(Arc::clone(b)), Ok(1));
     // Tick 1: round 1 runs against epoch 1 — picked up at the boundary.
     let r1 = service.tick();
     assert_eq!(r1.completed, requests.len());
@@ -146,7 +146,7 @@ fn concurrent_swapper_never_tears_a_round() {
         let swapper = scope.spawn(|| {
             for i in 0..6 {
                 let next = if i % 2 == 0 { &b } else { &a };
-                handle.swap(Arc::clone(next));
+                handle.swap(Arc::clone(next)).expect("same decomposition");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         });

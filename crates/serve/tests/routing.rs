@@ -163,7 +163,7 @@ fn single_entry_registry_matches_unrouted_path_bitwise() {
     let registry = Arc::new(registry);
 
     let engine = SessionEngine::with_workers(only, 2);
-    let unrouted = engine.run_sessions_fused(requests.clone(), &pool);
+    let unrouted = engine.run_sessions(requests.clone(), &pool);
     let routed = engine.run_sessions_routed(requests, &pool, registry, Router::new(42));
 
     assert_eq!(unrouted.len(), routed.len());

@@ -1,16 +1,19 @@
 //! Mixed-traffic determinism: a fixed-seed scenario (3 cohorts, 32
 //! sessions) must produce byte-identical per-cohort reports at 1 worker
-//! and at `default_threads()` workers. Extends `determinism.rs` to
+//! and at `default_threads()` workers. Extends `service_determinism.rs` to
 //! drifting/noisy/abandoning sessions — the acceptance gate of the
-//! simulated-analyst workload layer.
+//! simulated-analyst workload layer — including its check of every
+//! evaluation against a recomputation from the ground truth in force.
 
 use lte_core::config::LteConfig;
+use lte_core::metrics::ConfusionMatrix;
+use lte_core::oracle::BehaviorOracle;
 use lte_core::parallel::default_threads;
 use lte_core::pipeline::LtePipeline;
 use lte_core::scenario::BehavioralOutcome;
 use lte_data::generator::generate_sdss;
 use lte_data::subspace::decompose_sequential;
-use lte_serve::{ScenarioConfig, SessionEngine};
+use lte_serve::{ScenarioConfig, ScenarioOutcome, SessionEngine};
 use std::sync::Arc;
 
 fn trained_pipeline() -> (Arc<LtePipeline>, Vec<Vec<f64>>) {
@@ -47,6 +50,61 @@ fn outcome_bytes(o: &BehavioralOutcome) -> Vec<u64> {
     bytes
 }
 
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Asserts that a session's evaluation equals one recomputed from its
+/// analyst's ground truth: the confusion from the final truth's `label` on
+/// every full pool row, each round's F1 from that round's truth region on
+/// the row's projection, and each round's running F1 from that round's
+/// truth's `label`.
+fn assert_evaluation_matches_truth(
+    o: &BehavioralOutcome,
+    analyst: &BehaviorOracle,
+    pool: &[Vec<f64>],
+    what: &str,
+) {
+    let mut pred = vec![true; pool.len()];
+    let mut f1_by_round = Vec::new();
+    let mut per_subspace_f1 = Vec::new();
+    for (i, round) in o.subspace_outcomes.iter().enumerate() {
+        let truth = analyst.truth_at(i);
+        let (sub, region) = &truth.parts()[i];
+        let round_confusion = ConfusionMatrix::from_pairs(
+            round
+                .predictions
+                .iter()
+                .zip(pool)
+                .map(|(&p, row)| (p, region.contains(&sub.project_row(row)))),
+        );
+        per_subspace_f1.push(round_confusion.f1());
+        for (p, &q) in pred.iter_mut().zip(&round.predictions) {
+            *p &= q;
+        }
+        let running =
+            ConfusionMatrix::from_pairs(pred.iter().zip(pool).map(|(&p, r)| (p, truth.label(r))));
+        f1_by_round.push(running.f1());
+    }
+    let final_truth = analyst.final_truth(o.rounds_run.max(1));
+    let confusion = ConfusionMatrix::from_pairs(
+        pred.iter()
+            .zip(pool)
+            .map(|(&p, row)| (p, final_truth.label(row))),
+    );
+    assert_eq!(o.confusion, confusion, "{what}: UIR confusion");
+    assert_eq!(
+        bits(&o.per_subspace_f1),
+        bits(&per_subspace_f1),
+        "{what}: per-subspace F1"
+    );
+    assert_eq!(
+        bits(&o.f1_by_round),
+        bits(&f1_by_round),
+        "{what}: F1 by round"
+    );
+}
+
 #[test]
 fn worker_count_never_changes_scenario_outcomes() {
     let (pipeline, pool) = trained_pipeline();
@@ -76,6 +134,21 @@ fn worker_count_never_changes_scenario_outcomes() {
     // The per-cohort report renders byte-identically once measured timing
     // is excluded — the scenario acceptance criterion.
     assert_eq!(report_a.deterministic_json(), report_b.deterministic_json());
+
+    // Every evaluation is the ground truth's, drifters and churners too.
+    let requests = serial.scenario_requests(&cfg);
+    let runs: [(&str, &[ScenarioOutcome]); 2] = [("1-worker", &out_a), ("N-worker", &out_b)];
+    for (run, outcomes) in runs {
+        for (req, o) in requests.iter().zip(outcomes) {
+            let analyst = cfg.cohorts[req.cohort].behavior.instantiate(
+                req.truth.clone(),
+                pipeline.subspaces().len(),
+                req.seed,
+            );
+            let what = format!("{run} session {} ({})", o.id, cfg.cohorts[o.cohort].name);
+            assert_evaluation_matches_truth(&o.outcome, &analyst, &pool, &what);
+        }
+    }
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The cross-session batched scoring service must be *invisible* to
 //! outcomes: fusing every session's pool-scoring into one wide call per
-//! tick, parking sessions behind the admission queue, or splitting traffic
-//! across dataset shards may change scheduling and timing — never a single
-//! output bit. These tests pin the four contracts: fused == per-session,
-//! 1 worker == N workers, bounded capacity == unbounded, and sharded ==
-//! each shard solo. Both engines share one evaluation helper, so the
+//! tick, parking sessions behind the admission queue, splitting traffic
+//! across dataset shards, or keeping an engine's service between calls may
+//! change scheduling and timing — never a single output bit. These tests
+//! pin the contracts: fused == the single-session reference
+//! `LtePipeline::explore`, 1 worker == N workers, bounded capacity ==
+//! unbounded, sharded == each shard solo, and a reused service == a fresh
+//! one. The service and the reference share one evaluation helper, so the
 //! `Fast` sweep also pins each outcome's confusion and per-subspace F1 to
 //! a recomputation straight from the ground truth.
 
@@ -12,13 +14,15 @@ use lte_core::config::{LteConfig, ScoringPrecision};
 use lte_core::explore::Variant;
 use lte_core::metrics::ConfusionMatrix;
 use lte_core::oracle::ConjunctiveOracle;
+use lte_core::parallel::default_threads;
 use lte_core::pipeline::{LtePipeline, UirOutcome};
 use lte_core::scorer::PARALLEL_MIN_ROWS;
 use lte_core::uis::UisMode;
 use lte_data::generator::{generate_car, generate_sdss};
-use lte_data::subspace::decompose_sequential;
+use lte_data::subspace::{decompose_sequential, Subspace};
 use lte_data::table::Table;
 use lte_serve::{ScoringService, ServiceOutcome, SessionEngine};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn train(table: &Table, seed: u64) -> Arc<LtePipeline> {
@@ -111,21 +115,83 @@ fn service_bytes(o: &ServiceOutcome) -> Vec<u64> {
 #[test]
 fn fused_service_matches_per_session_engine_for_every_variant() {
     let (pipeline, pool) = sdss_setup();
-    for variant in [Variant::Basic, Variant::Meta, Variant::MetaStar] {
-        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), 2);
-        let requests = engine.simulate_requests(6, UisMode::new(1, 10), 0.2, 0.9, variant, 42);
-        let solo = engine.run_sessions(requests.clone(), &pool);
-        let fused = engine.run_sessions_fused(requests, &pool);
-        assert_eq!(solo.len(), fused.len());
-        for (a, b) in solo.iter().zip(&fused) {
-            assert_eq!(a.id, b.id, "{variant:?}: ordering diverged");
-            assert_eq!(
-                outcome_bytes(&a.outcome),
-                outcome_bytes(&b.outcome),
-                "{variant:?}: session {} diverged between per-session and fused",
-                a.id
-            );
+    for workers in [1, default_threads().max(2)] {
+        for variant in [Variant::Basic, Variant::Meta, Variant::MetaStar] {
+            let engine = SessionEngine::with_workers(Arc::clone(&pipeline), workers);
+            let requests = engine.simulate_requests(6, UisMode::new(1, 10), 0.2, 0.9, variant, 42);
+            let fused = engine.run_sessions(requests.clone(), &pool);
+            assert_eq!(requests.len(), fused.len());
+            for (req, b) in requests.iter().zip(&fused) {
+                assert_eq!(req.id, b.id, "{variant:?}: ordering diverged");
+                let solo = pipeline.explore(&req.truth, &pool, req.variant, req.seed);
+                assert_eq!(
+                    outcome_bytes(&solo),
+                    outcome_bytes(&b.outcome),
+                    "{variant:?}: session {} diverged between per-session and {workers}-worker fused",
+                    b.id
+                );
+            }
         }
+    }
+}
+
+/// One engine keeps its service between calls and replaces it when the
+/// pool changes, even by one bit, or when a call panics. Every call must
+/// still return exactly its own requests' outcomes, each equal to the
+/// single-session reference on that call's pool.
+#[test]
+fn engine_service_cache_is_invisible_to_outcomes() {
+    let (pipeline, pool_a) = sdss_setup();
+    let table = generate_sdss(3000, 0);
+    let pool_b: Vec<Vec<f64>> = (300..500).map(|i| table.row(i).unwrap()).collect();
+    // Pool A with the last bit of one value flipped, in an attribute that
+    // the first subspace projects.
+    let mut pool_a_bit = pool_a.clone();
+    let value = &mut pool_a_bit.last_mut().unwrap()[0];
+    *value = f64::from_bits(value.to_bits() ^ 1);
+
+    for workers in [1, default_threads().max(2)] {
+        let engine = SessionEngine::with_workers(Arc::clone(&pipeline), workers);
+        let requests =
+            engine.simulate_requests(4, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 31);
+        let check = |pool: &[Vec<f64>], what: &str| {
+            let done = engine.run_sessions(requests.clone(), pool);
+            assert_eq!(
+                done.len(),
+                requests.len(),
+                "{workers}w {what}: outcome count"
+            );
+            for (req, got) in requests.iter().zip(&done) {
+                assert_eq!(req.id, got.id, "{workers}w {what}: ordering diverged");
+                let solo = pipeline.explore(&req.truth, pool, req.variant, req.seed);
+                assert_eq!(
+                    outcome_bytes(&solo),
+                    outcome_bytes(&got.outcome),
+                    "{workers}w {what}: session {} diverged from its solo run",
+                    req.id
+                );
+            }
+        };
+        check(&pool_a, "pool A");
+        check(&pool_b, "pool B");
+        check(&pool_a, "pool A again");
+        check(&pool_a_bit, "pool A with one bit flipped");
+
+        // A call that panics part-way through submitting leaves nothing
+        // behind: the next call sees only its own sessions. The second
+        // truth is over as many subspaces of the same width, other
+        // attributes.
+        let mut foreign = requests[1].clone();
+        let other = [Subspace::new(vec![0, 2]), Subspace::new(vec![1, 3])];
+        let parts = foreign.truth.parts().iter().zip(other);
+        let parts = parts.map(|((_, region), sub)| (sub, region.clone()));
+        foreign.truth = ConjunctiveOracle::new(parts.collect());
+        let poisoned = vec![requests[0].clone(), foreign];
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.run_sessions(poisoned, &pool_a);
+        }));
+        assert!(caught.is_err(), "a foreign truth must panic");
+        check(&pool_a, "pool A after a panic");
     }
 }
 
@@ -209,13 +275,16 @@ fn fast_precision_serves_deterministically_across_worker_counts() {
                 a.id
             );
         }
-        // Fused `Fast` scoring is bit-identical to the per-session engine
-        // too, and every engine's evaluation is the ground truth's.
-        let solo = engine.run_sessions(requests.clone(), &pool);
-        for (o, s) in done_4.iter().zip(&solo) {
-            assert_eq!(o.id, s.id);
+        // Fused `Fast` scoring is bit-identical to the single-session
+        // reference too, and every evaluation is the ground truth's.
+        let solo: Vec<(u64, UirOutcome)> = requests
+            .iter()
+            .map(|r| (r.id, pipeline.explore(&r.truth, &pool, r.variant, r.seed)))
+            .collect();
+        for (o, (id, s)) in done_4.iter().zip(&solo) {
+            assert_eq!(o.id, *id);
             assert_eq!(
-                outcome_bytes(&s.outcome),
+                outcome_bytes(s),
                 outcome_bytes(&o.outcome),
                 "{variant:?}: fast session {} diverged from its solo run",
                 o.id
@@ -223,7 +292,7 @@ fn fast_precision_serves_deterministically_across_worker_counts() {
         }
         let outcomes = solo
             .iter()
-            .map(|s| ("per-session", s.id, &s.outcome))
+            .map(|(id, s)| ("per-session", *id, s))
             .chain(done_1.iter().map(|o| ("1-worker", o.id, &o.outcome)))
             .chain(done_4.iter().map(|o| ("4-worker", o.id, &o.outcome)));
         for (engine_run, id, outcome) in outcomes {
