@@ -91,8 +91,9 @@ fn bench_pool_scoring(c: &mut Criterion) {
 }
 
 /// The raw matmul kernels under pool scoring, isolated from the classifier:
-/// a naive triple loop as the pre-tiling baseline, the tiled f64 kernel
-/// (`Matrix::matmul_nt`, bit-identical to per-row matvec by contract), and
+/// a naive triple loop as the pre-tiling baseline, the f64 kernel
+/// (`Matrix::matmul_nt` on the detected SIMD kernel, bit-identical to
+/// per-row matvec by contract), and
 /// the 8-lane f32 kernel (`Matrix32::matmul_nt`, tolerance contract). The
 /// 512×64·64×64 shape is one classifier layer at pool-block scale.
 fn bench_matmul_kernels(c: &mut Criterion) {

@@ -7,18 +7,19 @@
 //! 1. **per_point** — one `UisClassifier::logit` call per tuple, the
 //!    original online path (per-call forward-cache allocations),
 //! 2. **batched_f64** — `Scorer::score` at `ScoringPrecision::Exact`: one
-//!    `forward_batch` pass per block on the tiled f64 kernel,
-//!    bit-compatible with per-point logits,
+//!    `forward_batch` pass per row tile on the SIMD f64 kernels with the
+//!    fused bias+activation epilogue, bit-compatible with per-point logits,
 //! 3. **fast_f32** — `Scorer::score` at `ScoringPrecision::Fast`: the SIMD
 //!    f32 kernels with the fused bias+activation epilogue, rank-stable
 //!    within the documented noise floor.
 //!
 //! The raw kernels under those paths are timed alongside at one
 //! classifier-layer shape so kernel-level and end-to-end wins can be told
-//! apart: naive/tiled f64, the f32 path unfused (matmul → bias pass →
-//! ReLU pass) vs fused (one epilogue kernel), and each SIMD microkernel
-//! pinned individually (AVX-512F, AVX2+FMA — emitted with an
-//! `unsupported` marker when the host lacks the feature).
+//! apart: naive/auto-kernel f64, the fused f64 layer, the f32 path unfused
+//! (matmul → bias pass → ReLU pass) vs fused (one epilogue kernel), and
+//! each SIMD microkernel of both precisions pinned individually (AVX-512F,
+//! AVX2 — emitted with an `unsupported` marker when the host lacks the
+//! feature).
 //!
 //! Unlike the criterion benches (vendored criterion has no JSON output),
 //! this experiment writes `BENCH_pool_scoring.json` — a committed snapshot
@@ -139,6 +140,7 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
     let b = Matrix::from_fn(km, kk, |i, j| ((i * kk + j) as f64 * 0.029).cos());
     let (a32, b32) = (Matrix32::from_f64(&a), Matrix32::from_f64(&b));
     let bias: Vec<f32> = (0..km).map(|j| (j as f32 * 0.07).sin()).collect();
+    let bias64: Vec<f64> = bias.iter().map(|&v| f64::from(v)).collect();
     push(
         "kernel_naive_f64",
         Some(time_ns(iters, || {
@@ -155,10 +157,21 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
             black_box(out.row(0)[0]);
         })),
     );
+    // Bare matmul on the auto-detected f64 kernel (the row keeps its
+    // name from when the f64 kernel was the scalar tiled loop).
     push(
         "kernel_tiled_f64",
         Some(time_ns(iters, || {
             black_box(black_box(&a).matmul_nt(black_box(&b)).row(0)[0]);
+        })),
+    );
+    // One dense f64 layer, bias + ReLU fused into the epilogue.
+    push(
+        "kernel_f64_fused",
+        Some(time_ns(iters, || {
+            let out =
+                black_box(&a).matmul_nt_ep(black_box(&b), Epilogue::new(&bias64, Activation::Relu));
+            black_box(out.row(0)[0]);
         })),
     );
     // Bare matmul on the auto-detected kernel — the row committed
@@ -189,28 +202,40 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
             black_box(out.row(0)[0]);
         })),
     );
-    // Each SIMD microkernel pinned explicitly (same fused layer). Hosts
-    // without the feature record the row as unsupported rather than
-    // silently dropping it.
+    // Each SIMD microkernel pinned explicitly (same fused layer, at each
+    // precision). Hosts without the feature record the row as unsupported
+    // rather than silently dropping it.
     for (name, kind) in [
         ("kernel_f32_avx512", KernelKind::Avx512f),
         ("kernel_f32_avx2", KernelKind::Avx2Fma),
     ] {
-        if kind.supported() {
-            push(
-                name,
-                Some(time_ns(iters, || {
-                    let out = black_box(&a32).matmul_nt_ep_with(
-                        black_box(&b32),
-                        Epilogue::new(&bias, Activation::Relu),
-                        kind,
-                    );
-                    black_box(out.row(0)[0]);
-                })),
-            );
-        } else {
-            push(name, None);
-        }
+        let timed = kind.supported().then(|| {
+            time_ns(iters, || {
+                let out = black_box(&a32).matmul_nt_ep_with(
+                    black_box(&b32),
+                    Epilogue::new(&bias, Activation::Relu),
+                    kind,
+                );
+                black_box(out.row(0)[0]);
+            })
+        });
+        push(name, timed);
+    }
+    for (name, kind) in [
+        ("kernel_f64_avx512", KernelKind::Avx512f),
+        ("kernel_f64_avx2", KernelKind::Avx2Fma),
+    ] {
+        let timed = kind.supported().then(|| {
+            time_ns(iters, || {
+                let out = black_box(&a).matmul_nt_ep_with(
+                    black_box(&b),
+                    Epilogue::new(&bias64, Activation::Relu),
+                    kind,
+                );
+                black_box(out.row(0)[0]);
+            })
+        });
+        push(name, timed);
     }
 
     let per_point_ns = timings[0].median_ns;

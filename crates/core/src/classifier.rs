@@ -223,51 +223,58 @@ impl UisClassifier {
     /// online phase, where a whole retrieval pool is predicted against a
     /// single user's `vR`.
     ///
-    /// The UIS embedding is computed once, the tuple embeddings and
-    /// classification run as one [`Mlp::forward_batch`] pass per block, and
-    /// the conversion (when present) splits into a pool-constant left half
-    /// plus one batched product: `Mcp·[embR | embτ] = Mcp_L·embR +
-    /// Mcp_R·embτ`, where `Mcp_L·embR` is shared by every tuple. Every
-    /// logit agrees with [`UisClassifier::logit`] on the same tuple to
-    /// within rounding (the split regroups the conversion sum), depends
-    /// only on its own tuple, and is deterministic — batch composition
-    /// never changes a tuple's logit.
+    /// The UIS embedding is computed once, and the conversion (when
+    /// present) splits into a pool-constant left half plus one batched
+    /// product: `Mcp·[embR | embτ] = Mcp_L·embR + Mcp_R·embτ`, where
+    /// `r_const = Mcp_L·embR` is shared by every tuple and rides the
+    /// product's kernel epilogue as its bias. The tuple embeddings and
+    /// classification then run as one [`Mlp::forward_batch`] pass per
+    /// block, one row tile at a time ([`UisClassifier::tile_rows`]), which
+    /// keeps every temporary in L1 and well under the allocator's mmap
+    /// threshold. Every logit agrees with [`UisClassifier::logit`] on the
+    /// same tuple to within rounding (the split regroups the conversion
+    /// sum), depends only on its own tuple, and is deterministic — neither
+    /// batch composition nor tiling changes a tuple's logit.
     fn logits_block(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f64> {
-        let x = Matrix::from_rows(tuples, self.cfg.nr);
         let r_emb = self.r_block.forward(v_r);
-        let t_emb = self.t_block.forward_batch(&x);
         let ne = self.cfg.ne;
-
-        let clf_in = match &self.conversion {
+        // `r_const` beside `Mcp_R` with conversion, otherwise `embR`, which
+        // heads every concatenated row.
+        let (row_const, mcp_right) = match &self.conversion {
             Some(mcp) => {
-                // r_const = Mcp_L·embR (constant over the pool); Mcp_R as
-                // its own matrix so the batch product is embτ·Mcp_Rᵀ.
                 let (r_const, mcp_right) = self.split_conversion(mcp, &r_emb);
-                let mut z = t_emb.matmul_nt(&mcp_right);
-                z.add_row_bias(&r_const);
-                z
+                (r_const, Some(mcp_right))
             }
-            None => {
-                // Per-row concatenation [embR | embτ] with embR broadcast.
-                let mut concat = Matrix::zeros(tuples.len(), 2 * ne);
-                for r in 0..tuples.len() {
-                    let row = concat.row_mut(r);
-                    row[..ne].copy_from_slice(&r_emb);
-                    row[ne..].copy_from_slice(t_emb.row(r));
-                }
-                concat
-            }
+            None => (r_emb, None),
         };
-        self.clf_block.forward_batch(&clf_in).data().to_vec()
+
+        let mut logits = Vec::with_capacity(tuples.len());
+        for tile in tuples.chunks(self.tile_rows(std::mem::size_of::<f64>())) {
+            let t_emb = self
+                .t_block
+                .forward_batch(&Matrix::from_rows(tile, self.cfg.nr));
+            let clf_in = match &mcp_right {
+                Some(mcp_right) => t_emb.matmul_nt_ep(mcp_right, Epilogue::bias_only(&row_const)),
+                None => {
+                    let mut concat = Matrix::zeros(tile.len(), 2 * ne);
+                    for r in 0..tile.len() {
+                        let row = concat.row_mut(r);
+                        row[..ne].copy_from_slice(&row_const);
+                        row[ne..].copy_from_slice(t_emb.row(r));
+                    }
+                    concat
+                }
+            };
+            logits.extend_from_slice(self.clf_block.forward_batch(&clf_in).data());
+        }
+        logits
     }
 
-    /// Serial `f32` scoring of one row block: same algebra as
+    /// Serial `f32` scoring of one row block: same algebra and row tiles as
     /// [`UisClassifier::logits_block`], with the pool-constant pieces
     /// (UIS embedding, conversion split, every layer's demoted weights)
-    /// computed once per block, and the per-tuple matmuls run on the `f32`
-    /// kernels one row tile at a time ([`UisClassifier::fast_tile_rows`]).
-    /// Tiling keeps every temporary in L1 and well under the allocator's
-    /// mmap threshold; a row's logit does not depend on its tile.
+    /// computed once per block and the per-tuple matmuls run on the `f32`
+    /// kernels.
     fn logits_block_f32(&self, v_r: &[f64], tuples: &[Vec<f64>]) -> Vec<f32> {
         let r_emb = self.r_block.forward(v_r);
         let t_block = self.t_block.to_f32();
@@ -286,7 +293,7 @@ impl UisClassifier {
         let row_const: Vec<f32> = row_const.iter().map(|&v| v as f32).collect();
 
         let mut logits = Vec::with_capacity(tuples.len());
-        for tile in tuples.chunks(self.fast_tile_rows()) {
+        for tile in tuples.chunks(self.tile_rows(std::mem::size_of::<f32>())) {
             let t_emb = t_block.forward_batch(&Matrix32::from_rows(tile, self.cfg.nr));
             let clf_in = match &mcp_right {
                 // The pool-constant `r_const` rides the kernel epilogue
@@ -307,14 +314,15 @@ impl UisClassifier {
         logits
     }
 
-    /// Rows per `Fast` scoring tile: as many as keep the widest per-tile
-    /// temporary (input, embedding, classifier input or hidden layer) of
-    /// `f32`s within the 32 KiB L1 budget the kernels tile by — 256 rows
-    /// at `ne = 32` with conversion.
-    fn fast_tile_rows(&self) -> usize {
+    /// Rows per scoring tile at `elem_size` bytes per value: as many as
+    /// keep the widest per-tile temporary (input, embedding, classifier
+    /// input or hidden layer) within the 32 KiB L1 budget the kernels tile
+    /// by. At `ne = 32` with conversion that is 256 rows of `f32` (`Fast`)
+    /// or 128 of `f64` (`Exact`).
+    fn tile_rows(&self, elem_size: usize) -> usize {
         let cfg = &self.cfg;
         let widest = cfg.nr.max(cfg.ne).max(cfg.clf_input()).max(cfg.clf_hidden);
-        l1_block_rows_sized(widest, 8, std::mem::size_of::<f32>())
+        l1_block_rows_sized(widest, 8, elem_size)
     }
 
     /// Split the conversion `Mcp·[embR | embτ]` into the pool-constant

@@ -3,8 +3,9 @@
 //! Exact logits within the accumulated-round-off tolerance, pool *ranking*
 //! must agree exactly for every pair separated by more than the `f32`
 //! noise floor, the fused kernel epilogue must be **bitwise** identical to
-//! the unfused bias/activation passes, and the row-block parallel dispatch
-//! must be bit-identical to the serial pass at any worker count.
+//! the unfused bias/activation passes, the row-block parallel dispatch
+//! must be bit-identical to the serial pass at any worker count, and an
+//! `Exact` pool must score bit-identical to its rows scored one at a time.
 
 use lte_core::classifier::{ClassifierConfig, UisClassifier};
 use lte_core::config::ScoringPrecision;
@@ -13,6 +14,7 @@ use lte_core::scorer::{
     score_fused_with, FusedRequest, ScoreRequest, Scorer, PARALLEL_BLOCK_ROWS, PARALLEL_MIN_ROWS,
 };
 use lte_data::rng::seeded;
+use lte_nn::matrix::l1_block_rows_sized;
 use lte_nn::{Activation, Epilogue, Matrix, Matrix32};
 use proptest::prelude::*;
 
@@ -147,10 +149,10 @@ proptest! {
     /// `Scorer::score` only parallelizes beyond `PARALLEL_MIN_ROWS`, so
     /// this drives the `score_block` kernel directly through
     /// `parallel_flat_map_chunks` with forced thread counts (the CI
-    /// container may expose one core). A `Fast` block runs in row tiles
-    /// that keep its widest layer within 32 KiB of `f32`s, at most 512
-    /// rows (256 at `ne = 32`), so the pools reach past two of the largest
-    /// tiles plus a ragged tail.
+    /// container may expose one core). A block runs in row tiles that keep
+    /// its widest layer within 32 KiB of `f32`s (`Fast`) or `f64`s
+    /// (`Exact`), at most 512 rows (256 and 128 at `ne = 32`), so the
+    /// pools reach past two of the largest tiles plus a ragged tail.
     #[test]
     fn chunked_scoring_is_bitwise_serial(
         seed in 0u64..200,
@@ -168,6 +170,31 @@ proptest! {
             });
             prop_assert_eq!(bits(&serial), bits(&chunked));
         }
+    }
+
+    /// An `Exact` pool scores bit-identical to each of its rows scored
+    /// alone through `Scorer::score`. The pool spans at least two row
+    /// tiles plus a ragged tail: a tile keeps the widest layer within
+    /// 32 KiB of `f64`s (128 rows at `ne = 32` with conversion, 64
+    /// without), so every row position in a tile, and the SIMD kernels'
+    /// ragged row and column tails, meet the one-row path.
+    #[test]
+    fn exact_pool_scoring_is_bitwise_per_row(
+        seed in 0u64..200,
+        ne in 4usize..40,
+        use_conversion in proptest::bool::ANY,
+        tail_frac in 0.01f64..0.99,
+    ) {
+        let widest = if use_conversion { ne.max(4) } else { 2 * ne };
+        let tile = l1_block_rows_sized(widest, 8, std::mem::size_of::<f64>());
+        let pool = 2 * tile + ((tile as f64 * tail_frac) as usize).max(1);
+        let (clf, v_r, tuples) = setup(seed, 5, 4, ne, use_conversion, pool);
+        let whole = score(&clf, &v_r, &tuples, ScoringPrecision::Exact);
+        let alone: Vec<f64> = tuples
+            .iter()
+            .flat_map(|row| score(&clf, &v_r, std::slice::from_ref(row), ScoringPrecision::Exact))
+            .collect();
+        prop_assert_eq!(bits(&whole), bits(&alone));
     }
 
     /// The fused kernel epilogue (`matmul_nt_ep` with bias + activation)

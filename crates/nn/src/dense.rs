@@ -1,7 +1,9 @@
 //! A single fully connected layer.
 
+use crate::activation::Activation;
 use crate::init;
 use crate::matrix::Matrix;
+use crate::matrix32::Epilogue;
 use rand::Rng;
 
 /// A dense layer `z = W·x + b` with `W: out × in`.
@@ -64,11 +66,12 @@ impl Dense {
     }
 
     /// Batched forward pass: `Z = X·Wᵀ + b` with one input tuple per row of
-    /// `x` (`batch × in_dim`). Each output row agrees with
-    /// [`Dense::forward`] on the corresponding input row **bitwise** (the
-    /// batch kernel sums each output over the inputs in the same index
-    /// order; see [`Matrix::matmul_nt`]) and depends only on that input
-    /// row, never on the rest of the batch.
+    /// `x` (`batch × in_dim`), the bias added in the kernel epilogue. Each
+    /// output row agrees with [`Dense::forward`] on the corresponding input
+    /// row **bitwise** (the batch kernel sums each output over the inputs
+    /// in the same index order, then adds the bias; see
+    /// [`Matrix::matmul_nt_ep`]) and depends only on that input row, never
+    /// on the rest of the batch.
     ///
     /// ```
     /// use lte_nn::{Dense, Matrix};
@@ -84,10 +87,14 @@ impl Dense {
     /// # Panics
     /// Panics when `x.cols() != in_dim()`.
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
+        self.forward_batch_act(x, Activation::Identity)
+    }
+
+    /// [`Dense::forward_batch`] followed by `act`, fused into the same
+    /// kernel epilogue: `act(X·Wᵀ + b)`.
+    pub(crate) fn forward_batch_act(&self, x: &Matrix, act: Activation) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
-        let mut z = x.matmul_nt(&self.w);
-        z.add_row_bias(&self.b);
-        z
+        x.matmul_nt_ep(&self.w, Epilogue::new(&self.b, act))
     }
 
     /// Backward pass. Given `dL/dz` and the cached input `x`, accumulates
@@ -266,7 +273,7 @@ mod tests {
         assert_eq!(batch.cols(), 4);
         for (i, row) in rows.iter().enumerate() {
             for (a, b) in batch.row(i).iter().zip(&layer.forward(row)) {
-                assert!((a - b).abs() <= 1e-12, "row {i}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i}: {a} vs {b}");
             }
         }
         // Empty batch keeps the output width.

@@ -53,14 +53,18 @@ use crate::matrix::{l1_block_rows_sized, Matrix};
 /// SIMD lanes per accumulator chain: 8 × `f32` is one AVX2 register.
 const LANES: usize = 8;
 
-/// Which `f32` microkernel [`Matrix32::matmul_nt`] dispatches to on the
-/// running CPU — detected once per call via `is_x86_feature_detected!`
-/// (a cached CPUID probe, so detection is a load + branch).
+/// Which microkernel [`Matrix32::matmul_nt`] and the `f64`
+/// [`Matrix::matmul_nt`] dispatch to on the running CPU — detected once per
+/// call via `is_x86_feature_detected!` (a cached CPUID probe, so detection
+/// is a load + branch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// 16-lane AVX-512F register tiles (x86-64 with `avx512f`).
+    /// AVX-512F register tiles (x86-64 with `avx512f`): 16 `f32` lanes,
+    /// or two 8-lane `f64` vectors per row.
     Avx512f,
-    /// 8-lane AVX2+FMA register tiles (x86-64 with `avx2` + `fma`).
+    /// AVX2 register tiles (x86-64 with `avx2` + `fma`): 8 `f32` lanes
+    /// with fused multiply-adds, or two 4-lane `f64` vectors per row with
+    /// separate multiplies and adds.
     Avx2Fma,
     /// The autovectorized lane-parallel fallback (any target; SSE2 on the
     /// x86-64 build baseline).
@@ -141,25 +145,25 @@ pub fn cpu_features() -> String {
 
 /// A fused kernel epilogue: the per-output operations
 /// (`out[i][j] = act(sum + bias[j])`) that [`Matrix32::matmul_nt_ep`]
-/// applies to each output tile in-register before storing it, instead of
-/// as separate full passes over the output.
+/// (`T = f32`) and [`Matrix::matmul_nt_ep`] (`T = f64`) apply to each
+/// output tile in-register before storing it, instead of as separate full
+/// passes over the output.
 ///
 /// The fused result is bitwise identical to the unfused composition
-/// `matmul_nt` → [`Matrix32::add_row_bias`] →
-/// [`Activation::apply_slice_f32`] on the same machine; see the module
+/// `matmul_nt` → bias add → activation on the same machine; see the module
 /// docs for the contract.
 #[derive(Debug, Clone, Copy)]
-pub struct Epilogue<'a> {
+pub struct Epilogue<'a, T = f32> {
     /// Per-output-column bias added to every row (`None` = no bias).
-    pub bias: Option<&'a [f32]>,
+    pub bias: Option<&'a [T]>,
     /// Activation applied after the bias add. ReLU and identity run
     /// in-register; other activations run as a post-store pass.
     pub activation: Activation,
 }
 
-impl<'a> Epilogue<'a> {
+impl<'a, T> Epilogue<'a, T> {
     /// The no-op epilogue: no bias, identity activation.
-    pub fn none() -> Epilogue<'static> {
+    pub fn none() -> Epilogue<'static, T> {
         Epilogue {
             bias: None,
             activation: Activation::Identity,
@@ -167,7 +171,7 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Bias add followed by an activation.
-    pub fn new(bias: &'a [f32], activation: Activation) -> Self {
+    pub fn new(bias: &'a [T], activation: Activation) -> Self {
         Self {
             bias: Some(bias),
             activation,
@@ -175,8 +179,24 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Bias add only (identity activation).
-    pub fn bias_only(bias: &'a [f32]) -> Self {
+    pub fn bias_only(bias: &'a [T]) -> Self {
         Self::new(bias, Activation::Identity)
+    }
+
+    /// Split into the part the kernels fuse in-register and the activation
+    /// left for a post-store pass: only the ReLU/identity family fuses, so a
+    /// transcendental activation keeps the fused bias and runs afterwards.
+    pub(crate) fn split_post(self) -> (Self, Option<Activation>) {
+        match self.activation {
+            Activation::Relu | Activation::Identity => (self, None),
+            act => (
+                Epilogue {
+                    bias: self.bias,
+                    activation: Activation::Identity,
+                },
+                Some(act),
+            ),
+        }
     }
 }
 
@@ -352,18 +372,7 @@ impl Matrix32 {
         if n == 0 || m == 0 {
             return out;
         }
-        // Only the ReLU/identity family fuses in-register; transcendental
-        // activations keep the fused bias but run as a post-store pass.
-        let (fused, post) = match ep.activation {
-            Activation::Relu | Activation::Identity => (ep, None),
-            act => (
-                Epilogue {
-                    bias: ep.bias,
-                    activation: Activation::Identity,
-                },
-                Some(act),
-            ),
-        };
+        let (fused, post) = ep.split_post();
         match kernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: the matching CPU features were just verified at runtime.

@@ -175,11 +175,14 @@ impl Mlp {
     /// Batched forward pass: one input tuple per row of `x`
     /// (`batch × in_dim`), one output per row of the result
     /// (`batch × out_dim`). The batch form is the serving hot path: pool
-    /// scoring does one matrix product per layer instead of a per-point
-    /// `dot` loop. Each output row agrees with [`Mlp::forward`] on the
-    /// corresponding input row bitwise (see [`Matrix::matmul_nt`]: the
-    /// tiled kernel preserves per-output summation order) and depends
-    /// only on that row — batch composition never changes a row's result.
+    /// scoring does one matrix product per layer, with the layer's bias and
+    /// ReLU/identity activation fused into the kernel epilogue, instead of
+    /// a per-point `dot` loop. Each output row agrees with [`Mlp::forward`]
+    /// on the corresponding input row bitwise (see
+    /// [`Matrix::matmul_nt_ep`]: every kernel preserves per-output
+    /// summation order, then adds the bias, then applies the activation)
+    /// and depends only on that row — batch composition never changes a
+    /// row's result.
     ///
     /// ```
     /// use lte_nn::{Activation, Matrix, Mlp};
@@ -198,9 +201,7 @@ impl Mlp {
         assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
         let mut cur = None;
         for (layer, act) in self.layers.iter().zip(&self.acts) {
-            let mut z = layer.forward_batch(cur.as_ref().unwrap_or(x));
-            act.apply_slice(z.data_mut());
-            cur = Some(z);
+            cur = Some(layer.forward_batch_act(cur.as_ref().unwrap_or(x), *act));
         }
         cur.expect("an MLP has at least one layer")
     }
@@ -415,7 +416,7 @@ mod tests {
         for (i, row) in rows.iter().enumerate() {
             let single = mlp.forward(row);
             for (a, b) in batch.row(i).iter().zip(&single) {
-                assert!((a - b).abs() <= 1e-12, "row {i}: {a} vs {b}");
+                assert_eq!(a.to_bits(), b.to_bits(), "row {i}: {a} vs {b}");
             }
         }
         let empty = mlp.forward_batch(&Matrix::from_rows(&[], 6));
