@@ -16,7 +16,7 @@
 
 use lte_nn::loss::bce_with_logits;
 use lte_nn::matrix::l1_block_rows_sized;
-use lte_nn::{Activation, Epilogue, Matrix, Matrix32, Mlp, MlpCache};
+use lte_nn::{Activation, Epilogue, Matrix, Matrix32, Mlp, MlpBatchCache, MlpCache};
 use rand::Rng;
 
 /// Architecture of the UIS classifier.
@@ -392,6 +392,98 @@ impl UisClassifier {
         let (loss, dlogit) = weighted_bce(cache.logit, example.1, pos_weight);
         self.backward(&cache, dlogit, grads);
         loss
+    }
+
+    /// The summed BCE loss and summed parameter gradients of a labeled set
+    /// that shares one UIS vector `v_r`, such as a meta-task's query set,
+    /// in one batched pass. The gradients are fresh; nothing is added into
+    /// a caller's buffer.
+    ///
+    /// The UIS embedding runs once. The tuple embedding, the full
+    /// conversion `Mcp·[embR | embτ]` and the classification block run as
+    /// one [`Mlp::forward_batch_cache`] pass each over the whole set. The
+    /// backward pass is batch products on the same kernels
+    /// ([`Mlp::backward_batch`]), and it skips the input gradients of the
+    /// two embedding blocks, which no parameter needs.
+    ///
+    /// For finite operands the result equals, **bit for bit**,
+    /// [`UisClassifier::loss_backward`] of each example in turn into
+    /// [`Grads::zeros_like`], with the losses summed from `0.0` in example
+    /// order: every gradient entry is summed from `+0.0` in example order,
+    /// as the loop sums it (see [`Dense::backward_batch`](lte_nn::Dense::backward_batch)
+    /// for the `±0` products this adds where the loop skips a zero row).
+    ///
+    /// # Panics
+    /// Panics when input widths disagree with the architecture.
+    pub fn query_gradients(&self, v_r: &[f64], examples: &[Example]) -> (f64, Grads) {
+        assert_eq!(v_r.len(), self.cfg.ku, "vR width mismatch");
+        let (n, ne, nr) = (examples.len(), self.cfg.ne, self.cfg.nr);
+        let r_cache = self.r_block.forward_cache(v_r);
+        let mut x_t = Matrix::zeros(n, nr);
+        for (e, (x, _)) in examples.iter().enumerate() {
+            assert_eq!(x.len(), nr, "vτ width mismatch");
+            x_t.row_mut(e).copy_from_slice(x);
+        }
+        let t_cache = self.t_block.forward_batch_cache(x_t);
+        let mut concat = Matrix::zeros(n, 2 * ne);
+        for e in 0..n {
+            let row = concat.row_mut(e);
+            row[..ne].copy_from_slice(r_cache.output());
+            row[ne..].copy_from_slice(t_cache.output().row(e));
+        }
+        // With conversion the concatenation is kept for `Mcp`'s gradient.
+        let (clf_cache, concat) = match &self.conversion {
+            Some(mcp) => (
+                self.clf_block.forward_batch_cache(concat.matmul_nt(mcp)),
+                Some(concat),
+            ),
+            None => (self.clf_block.forward_batch_cache(concat), None),
+        };
+
+        let mut loss = 0.0;
+        let mut dlogit = Matrix::zeros(n, 1);
+        for ((logit, d), (_, label)) in clf_cache
+            .output()
+            .data()
+            .iter()
+            .zip(dlogit.data_mut())
+            .zip(examples)
+        {
+            let (l, dl) = weighted_bce(*logit, *label, 1.0);
+            loss += l;
+            *d = dl;
+        }
+
+        let mut g_clf = vec![0.0; self.clf_block.param_count()];
+        let d_clf_in = self
+            .clf_block
+            .backward_batch(&clf_cache, dlogit, &mut g_clf, true)
+            .expect("input gradient requested");
+        // z = Mcp·cat: dMcp = dZᵀ·Cat, dCat = dZ·Mcp.
+        let (d_concat, g_conv) = match (&self.conversion, concat) {
+            (Some(mcp), Some(concat)) => {
+                (d_clf_in.matmul_nn(mcp), Some(d_clf_in.matmul_tn(&concat)))
+            }
+            _ => (d_clf_in, None),
+        };
+        let (mut d_r, mut d_t) = (Matrix::zeros(n, ne), Matrix::zeros(n, ne));
+        for e in 0..n {
+            let (r, t) = d_concat.row(e).split_at(ne);
+            d_r.row_mut(e).copy_from_slice(r);
+            d_t.row_mut(e).copy_from_slice(t);
+        }
+        let mut g_r = vec![0.0; self.r_block.param_count()];
+        let mut g_t = vec![0.0; self.t_block.param_count()];
+        let r_batch = MlpBatchCache::repeat(&r_cache, n);
+        self.r_block.backward_batch(&r_batch, d_r, &mut g_r, false);
+        self.t_block.backward_batch(&t_cache, d_t, &mut g_t, false);
+        let grads = Grads {
+            g_r,
+            g_t,
+            g_clf,
+            g_conv,
+        };
+        (loss, grads)
     }
 
     /// One per-sample SGD step on `example`, the step

@@ -226,12 +226,9 @@ impl MetaLearner {
                         self.adapt(&task.v_r, &task.support, self.cfg.local_steps, self.cfg.rho);
 
                     // Query-set gradients at the adapted parameters (the
-                    // FOMAML term).
-                    let mut qg = Grads::zeros_like(&adapted.classifier);
-                    let mut qloss = 0.0;
-                    for ex in &task.query {
-                        qloss += adapted.classifier.loss_backward(&task.v_r, ex, &mut qg);
-                    }
+                    // FOMAML term), the whole set in one batched pass.
+                    let (qloss, mut qg) =
+                        adapted.classifier.query_gradients(&task.v_r, &task.query);
                     let q_len = task.query.len().max(1);
                     let w = self.cfg.direct_weight.clamp(0.0, 1.0);
                     qg.scale((1.0 - w) / q_len as f64);
@@ -244,10 +241,7 @@ impl MetaLearner {
                     // (vR, vτ) without any labels.
                     if w > 0.0 {
                         let zero = self.adapt(&task.v_r, &task.support, 0, 0.0);
-                        let mut dg = Grads::zeros_like(&zero.classifier);
-                        for ex in &task.query {
-                            zero.classifier.loss_backward(&task.v_r, ex, &mut dg);
-                        }
+                        let (_, mut dg) = zero.classifier.query_gradients(&task.v_r, &task.query);
                         dg.scale(w / q_len as f64);
                         acc.add(&dg);
                     }

@@ -152,11 +152,33 @@ impl<'a> Dec<'a> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| PersistError::Corrupt("length overflow"))
     }
-    fn len(&mut self, cap: usize, what: &'static str) -> Result<usize, PersistError> {
+    /// A length of at most `cap`.
+    fn capped(&mut self, cap: usize, what: &'static str) -> Result<usize, PersistError> {
         let v = self.usize()?;
         if v > cap {
             return Err(PersistError::Corrupt(what));
         }
+        Ok(v)
+    }
+    /// Fails unless `n` elements of at least `elem_bytes` bytes each fit in
+    /// the bytes not yet read, so no length reserves more than the input
+    /// holds.
+    fn fits(&self, n: usize, elem_bytes: usize) -> Result<(), PersistError> {
+        if n > (self.data.len() - self.pos) / elem_bytes {
+            return Err(PersistError::Corrupt("length exceeds remaining bytes"));
+        }
+        Ok(())
+    }
+    /// A count of at most `cap` elements, each encoded in at least
+    /// `elem_bytes` of the bytes not yet read.
+    fn len(
+        &mut self,
+        cap: usize,
+        elem_bytes: usize,
+        what: &'static str,
+    ) -> Result<usize, PersistError> {
+        let v = self.capped(cap, what)?;
+        self.fits(v, elem_bytes)?;
         Ok(v)
     }
     fn f64(&mut self) -> Result<f64, PersistError> {
@@ -167,12 +189,12 @@ impl<'a> Dec<'a> {
         Ok(self.u8()? != 0)
     }
     fn str(&mut self) -> Result<String, PersistError> {
-        let n = self.len(1 << 20, "string too long")?;
+        let n = self.len(1 << 20, 1, "string too long")?;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| PersistError::Corrupt("invalid utf-8"))
     }
     fn f64s(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.len(1 << 28, "vector too long")?;
+        let n = self.len(1 << 28, 8, "vector too long")?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.f64()?);
@@ -180,7 +202,7 @@ impl<'a> Dec<'a> {
         Ok(v)
     }
     fn usizes(&mut self) -> Result<Vec<usize>, PersistError> {
-        let n = self.len(1 << 20, "vector too long")?;
+        let n = self.len(1 << 20, 8, "vector too long")?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.usize()?);
@@ -188,7 +210,8 @@ impl<'a> Dec<'a> {
         Ok(v)
     }
     fn rows(&mut self) -> Result<Vec<Vec<f64>>, PersistError> {
-        let n = self.len(1 << 24, "too many rows")?;
+        // Each row carries at least its 8-byte length.
+        let n = self.len(1 << 24, 8, "too many rows")?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.f64s()?);
@@ -196,11 +219,12 @@ impl<'a> Dec<'a> {
         Ok(v)
     }
     fn matrix(&mut self) -> Result<Matrix, PersistError> {
-        let rows = self.len(1 << 20, "matrix too tall")?;
-        let cols = self.len(1 << 20, "matrix too wide")?;
+        let rows = self.capped(1 << 20, "matrix too tall")?;
+        let cols = self.capped(1 << 20, "matrix too wide")?;
         let n = rows
             .checked_mul(cols)
             .ok_or(PersistError::Corrupt("matrix size overflow"))?;
+        self.fits(n, 8)?;
         let mut data = Vec::with_capacity(n);
         for _ in 0..n {
             data.push(self.f64()?);
@@ -370,7 +394,8 @@ fn put_attribute_encoder(e: &mut Enc, enc: &AttributeEncoder) {
 fn get_attribute_encoder(d: &mut Dec) -> Result<AttributeEncoder, PersistError> {
     Ok(match d.u8()? {
         0 => {
-            let k = d.len(1 << 16, "too many GMM components")?;
+            // Weight, mean and std: 24 bytes per component.
+            let k = d.len(1 << 16, 24, "too many GMM components")?;
             if k == 0 {
                 return Err(PersistError::Corrupt("empty GMM"));
             }
@@ -402,6 +427,27 @@ fn get_attribute_encoder(d: &mut Dec) -> Result<AttributeEncoder, PersistError> 
 }
 
 // --------------------------------------------------------------- pipeline
+
+/// `(|φR|, |φτ|, |φclf|)` of a learner with UIS width `ku` and tuple width
+/// `nr` under `net`: the shapes [`UisClassifier::new`](crate::classifier::UisClassifier::new)
+/// builds, each layer's weights plus its biases. `None` when a count
+/// overflows.
+fn phi_lens(
+    net: &NetConfig,
+    use_memories: bool,
+    ku: usize,
+    nr: usize,
+) -> Option<(usize, usize, usize)> {
+    let (ne, hidden) = (net.ne, net.clf_hidden);
+    let embedding = |width: usize| width.checked_mul(ne)?.checked_add(ne);
+    let clf_in = if use_memories { ne } else { ne.checked_mul(2)? };
+    let clf = clf_in
+        .checked_mul(hidden)?
+        .checked_add(hidden)?
+        .checked_add(hidden)?
+        .checked_add(1)?;
+    Some((embedding(ku)?, embedding(nr)?, clf))
+}
 
 /// Serialize a trained pipeline to bytes ([`FORMAT_VERSION`]).
 pub fn pipeline_to_bytes(p: &LtePipeline) -> Vec<u8> {
@@ -458,7 +504,13 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
         return Err(PersistError::UnsupportedVersion(version));
     }
     let config = get_config(&mut d)?;
-    let n_subspaces = d.len(1 << 12, "too many subspaces")?;
+    if config.net.ne == 0 || config.net.clf_hidden == 0 {
+        return Err(PersistError::Corrupt("empty network layer"));
+    }
+    if config.train.use_memories && config.train.m == 0 {
+        return Err(PersistError::Corrupt("memories without modes"));
+    }
+    let n_subspaces = d.len(1 << 12, 1, "too many subspaces")?;
     if n_subspaces == 0 {
         return Err(PersistError::Corrupt("pipeline without subspaces"));
     }
@@ -476,7 +528,7 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
         if cu.is_empty() || cs.is_empty() {
             return Err(PersistError::Corrupt("empty center sets"));
         }
-        let n_encoders = d.len(1 << 12, "too many encoders")?;
+        let n_encoders = d.len(1 << 12, 1, "too many encoders")?;
         let mut encoders = Vec::with_capacity(n_encoders);
         for _ in 0..n_encoders {
             encoders.push(get_attribute_encoder(&mut d)?);
@@ -492,39 +544,48 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
         ));
         subspaces.push(subspace);
 
+        // The learner is built only once every shape it allocates (`ku`,
+        // `nr`, `ne`, `clf_hidden`, `m`) agrees with the φ vectors and
+        // memories read here, whose sizes the input bounds.
         let ku = d.usize()?;
         let nr = d.usize()?;
-        let mut learner = MetaLearner::new(ku, nr, &config.net, config.train.clone(), 0);
         let phi_r = d.f64s()?;
         let phi_t = d.f64s()?;
         let phi_clf = d.f64s()?;
-        let (er, et, ec) = learner.phi();
-        if phi_r.len() != er.len() || phi_t.len() != et.len() || phi_clf.len() != ec.len() {
+        let use_memories = config.train.use_memories;
+        if phi_lens(&config.net, use_memories, ku, nr)
+            != Some((phi_r.len(), phi_t.len(), phi_clf.len()))
+        {
             return Err(PersistError::Corrupt("parameter shape mismatch"));
         }
+        let memories = match (d.bool()?, use_memories) {
+            (true, false) => return Err(PersistError::Corrupt("memories for memory-less config")),
+            (false, true) => return Err(PersistError::Corrupt("missing memories")),
+            (false, false) => None,
+            (true, true) => {
+                let mvr = d.matrix()?;
+                let mr = d.matrix()?;
+                let n_slices = d.len(1 << 10, 16, "too many memory modes")?;
+                let mut mcp = Vec::with_capacity(n_slices);
+                for _ in 0..n_slices {
+                    mcp.push(d.matrix()?);
+                }
+                let (m, ne) = (config.train.m, config.net.ne);
+                let shape = |x: &Matrix| (x.rows(), x.cols());
+                if shape(&mvr) != (m, ku)
+                    || shape(&mr) != (m, phi_r.len())
+                    || mcp.len() != m
+                    || mcp.iter().any(|slice| shape(slice) != (ne, 2 * ne))
+                {
+                    return Err(PersistError::Corrupt("memory shape mismatch"));
+                }
+                Some(Memories { mvr, mr, mcp })
+            }
+        };
+        let mut learner = MetaLearner::new(ku, nr, &config.net, config.train.clone(), 0);
         learner.set_phi(phi_r, phi_t, phi_clf);
-        if d.bool()? {
-            if !learner.has_memories() {
-                return Err(PersistError::Corrupt("memories for memory-less config"));
-            }
-            let mvr = d.matrix()?;
-            let mr = d.matrix()?;
-            let n_slices = d.len(1 << 10, "too many memory modes")?;
-            let mut mcp = Vec::with_capacity(n_slices);
-            for _ in 0..n_slices {
-                mcp.push(d.matrix()?);
-            }
-            let expected = learner.memories().expect("has memories");
-            if mvr.rows() != expected.mvr.rows()
-                || mvr.cols() != expected.mvr.cols()
-                || mr.cols() != expected.mr.cols()
-                || mcp.len() != expected.mcp.len()
-            {
-                return Err(PersistError::Corrupt("memory shape mismatch"));
-            }
-            learner.set_memories(Memories { mvr, mr, mcp });
-        } else if learner.has_memories() {
-            return Err(PersistError::Corrupt("missing memories"));
+        if let Some(memories) = memories {
+            learner.set_memories(memories);
         }
         learners.push(learner);
     }
@@ -589,13 +650,14 @@ pub fn registry_from_bytes(data: &[u8]) -> Result<crate::routing::PipelineRegist
     if version != REGISTRY_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let n_entries = d.len(1 << 10, "too many registry entries")?;
+    let n_entries = d.len(1 << 10, 1, "too many registry entries")?;
     let mut registry = crate::routing::PipelineRegistry::new();
     for _ in 0..n_entries {
         let name = d.str()?;
         let centroid = MetaFeatures::from_values(&d.f64s()?)
             .ok_or(PersistError::Corrupt("bad centroid width"))?;
-        let n_tags = d.len(1 << 20, "too many task tags")?;
+        // Two indices and a feature-vector length: 24 bytes per tag.
+        let n_tags = d.len(1 << 20, 24, "too many task tags")?;
         let mut task_tags = Vec::with_capacity(n_tags);
         for _ in 0..n_tags {
             let subspace = d.usize()?;
@@ -782,6 +844,110 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    /// A pipeline small enough to decode thousands of times.
+    fn small_pipeline() -> LtePipeline {
+        let table = generate_sdss(1500, 0);
+        let mut cfg = LteConfig::reduced();
+        cfg.train.n_tasks = 6;
+        cfg.train.epochs = 1;
+        LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, 5).0
+    }
+
+    /// Offset of the first occurrence of `pattern` in `bytes`.
+    fn find(bytes: &[u8], pattern: &[u8]) -> usize {
+        bytes
+            .windows(pattern.len())
+            .position(|w| w == pattern)
+            .expect("pattern present")
+    }
+
+    fn le(vs: &[u64]) -> Vec<u8> {
+        vs.iter().flat_map(|v| v.to_le_bytes()).collect()
+    }
+
+    #[test]
+    fn phi_lens_match_the_built_learner() {
+        for use_memories in [true, false] {
+            for (ku, nr, ne, clf_hidden) in [(1, 1, 1, 1), (40, 7, 32, 32), (5, 12, 3, 9)] {
+                let net = NetConfig {
+                    ne,
+                    clf_hidden,
+                    expansion_frac: 0.1,
+                };
+                let train = TrainConfig {
+                    use_memories,
+                    ..TrainConfig::reduced()
+                };
+                let learner = MetaLearner::new(ku, nr, &net, train, 1);
+                let (r, t, c) = learner.phi();
+                assert_eq!(
+                    phi_lens(&net, use_memories, ku, nr),
+                    Some((r.len(), t.len(), c.len()))
+                );
+            }
+        }
+        let net = NetConfig::reduced();
+        assert_eq!(phi_lens(&net, true, usize::MAX, 1), None);
+    }
+
+    /// A learner whose `ku` claims 2^40 features is refused before any
+    /// allocation sized by it (it used to abort the process).
+    #[test]
+    fn forged_ku_is_corrupt_not_an_allocation() {
+        let p = small_pipeline();
+        let mut bytes = pipeline_to_bytes(&p);
+        let learner = &p.learners()[0];
+        let (arch, phi_r) = (learner.arch(), learner.phi().0);
+        let header = le(&[
+            arch.ku as u64,
+            arch.nr as u64,
+            phi_r.len() as u64,
+            phi_r[0].to_bits(),
+        ]);
+        let at = find(&bytes, &header);
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(
+            pipeline_from_bytes(&bytes).unwrap_err(),
+            PersistError::Corrupt("parameter shape mismatch")
+        );
+    }
+
+    /// An `MvR` header of 2^20 × 2^20 is refused before its 2^40 values
+    /// are reserved (it used to abort the process).
+    #[test]
+    fn forged_matrix_header_is_corrupt_not_an_allocation() {
+        let p = small_pipeline();
+        let mut bytes = pipeline_to_bytes(&p);
+        let mvr = &p.learners()[0].memories().expect("memories").mvr;
+        let mut header = vec![1u8];
+        header.extend(le(&[
+            mvr.rows() as u64,
+            mvr.cols() as u64,
+            mvr.data()[0].to_bits(),
+        ]));
+        let at = find(&bytes, &header) + 1;
+        bytes[at..at + 16].copy_from_slice(&le(&[1 << 20, 1 << 20]));
+        assert_eq!(
+            pipeline_from_bytes(&bytes).unwrap_err(),
+            PersistError::Corrupt("length exceeds remaining bytes")
+        );
+    }
+
+    /// Every prefix of a valid file, cut at every byte of the header and
+    /// then at a stride through the rest, fails with a typed error.
+    #[test]
+    fn every_prefix_is_an_error() {
+        let bytes = pipeline_to_bytes(&small_pipeline());
+        let cuts = (0..256).chain((256..bytes.len()).step_by(97));
+        for cut in cuts {
+            assert!(
+                pipeline_from_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes"
+            );
+        }
+        assert!(pipeline_from_bytes(&bytes).is_ok());
     }
 
     #[test]

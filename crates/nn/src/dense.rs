@@ -125,6 +125,49 @@ impl Dense {
         self.w.matvec_t(dz)
     }
 
+    /// Batched [`Dense::backward`] over one example per row: `x` holds the
+    /// inputs (`batch × in_dim`) and `dz` each example's `dL/dz`
+    /// (`batch × out_dim`). **Overwrites** `grad` (flat, `w` row-major then
+    /// `b`) with the gradient summed over the batch, as two kernel
+    /// products: `dW = dZᵀ·X` ([`Matrix::matmul_tn`]) and `db` the column
+    /// sums of `dZ`. When `want_dx`, returns `dX = dZ·W`
+    /// ([`Matrix::matmul_nn`]), one example's `dL/dx` per row.
+    ///
+    /// For finite operands, `grad` equals `backward` of each row in turn
+    /// into a zeroed buffer, and each row of `dX` equals that row's
+    /// returned `dL/dx`, **bit for bit**. Each entry is the same sum: it
+    /// starts from `+0.0` and adds `d·x` (or `d·w`) in example (or output)
+    /// order, one multiply then one add. `backward` skips rows whose `d` is
+    /// zero, and the products here add their `±0` instead. A sum that
+    /// starts from `+0.0` is never `−0.0`, so adding `±0` changes no bit.
+    /// That holds only while the other operand is finite: `0·∞` is NaN.
+    /// Bias sums add every `d`, as `backward` does.
+    ///
+    /// # Panics
+    /// Panics on shape mismatches.
+    pub fn backward_batch(
+        &self,
+        x: &Matrix,
+        dz: &Matrix,
+        grad: &mut [f64],
+        want_dx: bool,
+    ) -> Option<Matrix> {
+        let (rows, cols) = (self.w.rows(), self.w.cols());
+        assert_eq!(x.cols(), cols, "batch input width mismatch");
+        assert_eq!(dz.cols(), rows, "batch output-gradient width mismatch");
+        assert_eq!(x.rows(), dz.rows(), "batch size mismatch");
+        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
+        let (gw, gb) = grad.split_at_mut(rows * cols);
+        gw.copy_from_slice(dz.matmul_tn(x).data());
+        gb.fill(0.0);
+        for e in 0..dz.rows() {
+            for (g, &d) in gb.iter_mut().zip(dz.row(e)) {
+                *g += d;
+            }
+        }
+        want_dx.then(|| dz.matmul_nn(&self.w))
+    }
+
     /// [`Dense::backward`] into zeroed gradients followed by `p -= lr·g`,
     /// with each parameter updated as soon as its gradient is formed. Row
     /// `r` adds `dz[r]·W[r]` into `dx` before it updates `W[r]` and `b[r]`,

@@ -8,8 +8,9 @@
 //! meta-learning *does* require, and what this crate provides, is:
 //!
 //! * exact gradients through fixed dense architectures ([`Mlp::backward`]),
-//!   and a per-sample SGD step that applies each gradient as it is formed
-//!   ([`Mlp::train_step`]),
+//!   the same gradients summed over a batch in one pass of kernel products
+//!   ([`Mlp::backward_batch`]), and a per-sample SGD step that applies each
+//!   gradient as it is formed ([`Mlp::train_step`]),
 //! * parameters as *flat vectors* that can be copied, blended, and updated
 //!   arithmetically — the `θ ⇐ φ − σ·ωR` initialization (Eq. 6), local SGD
 //!   (Eq. 12) and one-step global updates (Eq. 13) are all flat-vector
@@ -34,4 +35,4 @@ pub use activation::Activation;
 pub use dense::Dense;
 pub use matrix::Matrix;
 pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
-pub use mlp::{Mlp, Mlp32, MlpCache};
+pub use mlp::{Mlp, Mlp32, MlpBatchCache, MlpCache};

@@ -273,6 +273,42 @@ impl Matrix {
         self.matmul_nt_ep(other, Epilogue::none())
     }
 
+    /// The transpose `Aᵀ` (`cols × rows`).
+    pub fn transpose(&self) -> Matrix {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = vec![0.0; rows * cols];
+        for (r, row) in self.data.chunks_exact(cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                data[c * rows + r] = v;
+            }
+        }
+        Matrix::from_vec(cols, rows, data)
+    }
+
+    /// `C = Aᵀ·B` where `A` is `k × n` and `B` is `k × m`, so
+    /// `C[i][j] = Σₖ A[k][i]·B[k][j]`: [`Matrix::matmul_nt`] of the two
+    /// transposes, so each output is summed from `+0.0` in `k` order with
+    /// a multiply then an add. With one example per row, this is a layer's
+    /// batch-summed weight gradient `dZᵀ·X`.
+    ///
+    /// # Panics
+    /// Panics when the row counts disagree.
+    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.rows, other.rows, "matmul_tn inner dimension mismatch");
+        self.transpose().matmul_nt(&other.transpose())
+    }
+
+    /// `C = A·B` where `A` is `n × k` and `B` is `k × m`:
+    /// [`Matrix::matmul_nt`] against `Bᵀ`, with the same per-output order.
+    /// With one example per row, this is a layer's input gradient `dZ·W`.
+    ///
+    /// # Panics
+    /// Panics when `A.cols != B.rows`.
+    pub fn matmul_nn(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.cols, other.rows, "matmul_nn inner dimension mismatch");
+        self.matmul_nt(&other.transpose())
+    }
+
     /// [`Matrix::matmul_nt`] with a fused [`Epilogue`]:
     /// `C[i][j] = act(⟨A.row(i), B.row(j)⟩ + bias[j])`, on the kernel
     /// [`KernelKind::detect`] picks.

@@ -45,6 +45,41 @@ impl MlpCache {
     }
 }
 
+/// The batch form of [`MlpCache`]: every layer's inputs and
+/// pre-activations for one example per row, from
+/// [`Mlp::forward_batch_cache`] or [`MlpBatchCache::repeat`], needed by
+/// [`Mlp::backward_batch`].
+#[derive(Debug, Clone)]
+pub struct MlpBatchCache {
+    /// `acts[0]` is the input batch, `acts[i + 1]` the post-activation
+    /// output of layer `i`.
+    acts: Vec<Matrix>,
+    /// Pre-activation output of each layer.
+    pre_acts: Vec<Matrix>,
+}
+
+impl MlpBatchCache {
+    /// The batch's forward output, one row per example.
+    pub fn output(&self) -> &Matrix {
+        self.acts.last().expect("an MLP has at least one layer")
+    }
+
+    /// The cache of `n` examples that all have the input of `cache`: its
+    /// rows repeated `n` times, so a block whose input a whole batch
+    /// shares runs its forward pass once.
+    ///
+    /// # Panics
+    /// Panics when `cache` holds no forward pass.
+    pub fn repeat(cache: &MlpCache, n: usize) -> Self {
+        assert!(!cache.acts.is_empty(), "cache holds no forward pass");
+        let rows = |v: &Vec<f64>| Matrix::from_vec(n, v.len(), v.repeat(n));
+        Self {
+            acts: cache.acts.iter().map(rows).collect(),
+            pre_acts: cache.pre_acts.iter().map(rows).collect(),
+        }
+    }
+}
+
 /// An [`Mlp`] with its parameters demoted to `f32` ([`Mlp::to_f32`]), the
 /// pool-scoring fast path. Demoting once lets a pool be scored in many row
 /// tiles without demoting the weights again for each tile.
@@ -281,6 +316,79 @@ impl Mlp {
             dcur = layer.backward(&cache.acts[i], &dz, g);
         }
         dcur
+    }
+
+    /// Batched forward pass retaining the per-layer state needed by
+    /// [`Mlp::backward_batch`]: one input tuple per row of `x`. Each layer
+    /// computes `Z = X·Wᵀ + b` with the bias in the kernel epilogue, then
+    /// its activation, so every row's state equals
+    /// [`Mlp::forward_cache`] of that row **bitwise** (see
+    /// [`Mlp::forward_batch`]).
+    ///
+    /// # Panics
+    /// Panics when `x.cols() != in_dim()`.
+    pub fn forward_batch_cache(&self, x: Matrix) -> MlpBatchCache {
+        assert_eq!(x.cols(), self.in_dim(), "batch input width mismatch");
+        let n = self.layers.len();
+        let mut acts = Vec::with_capacity(n + 1);
+        let mut pre_acts = Vec::with_capacity(n);
+        acts.push(x);
+        for (layer, act) in self.layers.iter().zip(&self.acts) {
+            let input = acts.last().expect("input pushed first");
+            let z = input.matmul_nt_ep(&layer.w, Epilogue::bias_only(&layer.b));
+            let mut a = z.clone();
+            act.apply_slice(a.data_mut());
+            pre_acts.push(z);
+            acts.push(a);
+        }
+        MlpBatchCache { acts, pre_acts }
+    }
+
+    /// Batched [`Mlp::backward`]: `grad_out` holds each example's
+    /// `dL/d(output)`, one per row. **Overwrites** `grad` (flat layout, as
+    /// [`Mlp::write_params`]) with the gradient summed over the batch, each
+    /// layer's as one [`Dense::backward_batch`]. When `want_input`, returns
+    /// `dL/d(input)`, one example per row; the first layer's input gradient
+    /// is computed only then.
+    ///
+    /// For finite operands, `grad` and the input gradient equal
+    /// [`Mlp::backward`] of each example in turn into zeroed gradients,
+    /// **bit for bit** (see [`Dense::backward_batch`] for why).
+    ///
+    /// # Panics
+    /// Panics when `grad.len() != param_count()` or on shape mismatches.
+    pub fn backward_batch(
+        &self,
+        cache: &MlpBatchCache,
+        grad_out: Matrix,
+        grad: &mut [f64],
+        want_input: bool,
+    ) -> Option<Matrix> {
+        assert_eq!(grad.len(), self.param_count(), "flat size mismatch");
+        let out = cache.output();
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            (out.rows(), out.cols()),
+            "output gradient shape mismatch"
+        );
+        let mut delta = grad_out;
+        let mut end = grad.len();
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            // Through the activation: dz = da * act'(z).
+            let act = self.acts[i];
+            for (d, &z) in delta.data_mut().iter_mut().zip(cache.pre_acts[i].data()) {
+                *d *= act.derivative(z);
+            }
+            let start = end - layer.param_count();
+            let want_dx = i > 0 || want_input;
+            let dx = layer.backward_batch(&cache.acts[i], &delta, &mut grad[start..end], want_dx);
+            end = start;
+            match dx {
+                Some(dx) => delta = dx,
+                None => return None,
+            }
+        }
+        Some(delta)
     }
 
     /// In-place SGD step: `params -= lr · grad`.

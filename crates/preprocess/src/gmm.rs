@@ -26,10 +26,33 @@ pub struct Gmm {
     iterations: usize,
 }
 
-/// Log-density of N(µ, σ²) at x.
-fn log_normal_pdf(x: f64, mean: f64, std: f64) -> f64 {
-    let z = (x - mean) / std;
-    -0.5 * z * z - std.ln() - 0.5 * (2.0 * std::f64::consts::PI).ln()
+/// The value-independent terms of one component's log joint density:
+/// `ln w` (the weight floored at `1e-300`), `ln σ` and `½·ln 2π`, computed
+/// once per component instead of once per value.
+struct LogTerms {
+    ln_w: f64,
+    mean: f64,
+    std: f64,
+    ln_std: f64,
+    half_ln_2pi: f64,
+}
+
+impl LogTerms {
+    fn new(c: &Component) -> Self {
+        Self {
+            ln_w: c.weight.max(1e-300).ln(),
+            mean: c.mean,
+            std: c.std,
+            ln_std: c.std.ln(),
+            half_ln_2pi: 0.5 * (2.0 * std::f64::consts::PI).ln(),
+        }
+    }
+
+    /// `ln w + ln N(x; µ, σ²)`.
+    fn log_joint(&self, x: f64) -> f64 {
+        let z = (x - self.mean) / self.std;
+        self.ln_w + (-0.5 * z * z - self.ln_std - self.half_ln_2pi)
+    }
 }
 
 impl Gmm {
@@ -38,6 +61,14 @@ impl Gmm {
     /// Initialization is deterministic: means at evenly spaced quantiles,
     /// uniform weights, pooled standard deviation. EM runs until the average
     /// log-likelihood improves by less than `1e-6` or 100 iterations.
+    ///
+    /// Each E-step computes every component's `ln w`, `ln σ` and `½·ln 2π`
+    /// once, before its pass over the values, so the pass takes one `exp`
+    /// per value and component and one `ln` per value, and no other
+    /// logarithm. Each value's log joint density is still
+    /// `ln w + (−½·z² − ln σ − ½·ln 2π)` with `z = (x − µ)/σ`, evaluated in
+    /// that order, so the fit is the same, bit for bit, as evaluating the
+    /// logarithms for every value.
     ///
     /// # Panics
     /// Panics when `values` is empty or `k == 0`.
@@ -74,16 +105,19 @@ impl Gmm {
         let mut resp = vec![0.0; n * k];
         let mut last_ll = f64::NEG_INFINITY;
         let mut iterations = 0;
+        let mut terms = Vec::with_capacity(k);
         for it in 0..100 {
             iterations = it + 1;
             // E-step: responsibilities via log-sum-exp.
+            terms.clear();
+            terms.extend(comps.iter().map(LogTerms::new));
             let mut ll = 0.0;
             for (i, &x) in values.iter().enumerate() {
                 let row = &mut resp[i * k..(i + 1) * k];
                 let mut max_log = f64::NEG_INFINITY;
-                for (j, c) in comps.iter().enumerate() {
-                    row[j] = c.weight.max(1e-300).ln() + log_normal_pdf(x, c.mean, c.std);
-                    max_log = max_log.max(row[j]);
+                for (r, t) in row.iter_mut().zip(&terms) {
+                    *r = t.log_joint(x);
+                    max_log = max_log.max(*r);
                 }
                 let mut sum = 0.0;
                 for r in row.iter_mut() {
@@ -182,7 +216,7 @@ impl Gmm {
     pub fn predict_component(&self, x: f64) -> usize {
         let mut best = (0usize, f64::NEG_INFINITY);
         for (j, c) in self.components.iter().enumerate() {
-            let lp = c.weight.max(1e-300).ln() + log_normal_pdf(x, c.mean, c.std);
+            let lp = LogTerms::new(c).log_joint(x);
             if lp > best.1 {
                 best = (j, lp);
             }
