@@ -25,7 +25,6 @@ fn main() {
     experiments::fig8::run(&env, out);
     experiments::scenarios::run(&env, out, opts.smoke);
     experiments::pool_scoring::run(&env, out, opts.smoke);
-    experiments::routing::run(&env, out, opts.smoke);
 
     println!(
         "\nall experiments regenerated in {:.1} min",

@@ -11,6 +11,5 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod pool_scoring;
-pub mod routing;
 pub mod scenarios;
 pub mod table2;

@@ -43,7 +43,6 @@ pub mod explore;
 pub mod feature;
 pub mod iterative;
 pub mod memory;
-pub mod meta_features;
 pub mod meta_learner;
 pub mod meta_task;
 pub mod metrics;
@@ -61,7 +60,6 @@ pub use classifier::{ClassifierConfig, UisClassifier};
 pub use config::LteConfig;
 pub use context::SubspaceContext;
 pub use explore::{ExploreOutcome, Variant};
-pub use meta_features::{FeatureDelta, MetaFeatures};
 pub use meta_learner::MetaLearner;
 pub use meta_task::{MetaTask, TaskGenError};
 pub use metrics::ConfusionMatrix;
@@ -69,7 +67,7 @@ pub use oracle::{
     BehaviorOracle, Cadence, ConjunctiveOracle, NoisyOracle, RegionOracle, SubspaceOracle,
 };
 pub use pipeline::LtePipeline;
-pub use routing::{PipelineRegistry, Router, RoutingDecision};
+pub use routing::PipelineRegistry;
 pub use scenario::{BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger};
 pub use scorer::{FusedRequest, ScoreRequest, Scorer};
 pub use uis::UisMode;

@@ -64,48 +64,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Fan a slice over worker threads in contiguous blocks of `block` items,
-/// flattening the per-block outputs back in input order — the row-block
-/// parallelism under large batched matmuls (each block of pool rows is
-/// scored independently; see
-/// [`Scorer::score`](crate::scorer::Scorer::score)).
-///
-/// Because blocks are contiguous and outputs are re-assembled in input
-/// order, the result is **identical to `f(items)`** whenever `f` maps each
-/// input row to outputs independent of the rest of its block — the
-/// invariant every batched scoring path here satisfies — regardless of
-/// `threads`, `block`, or scheduling.
-///
-/// ```
-/// use lte_core::parallel::parallel_flat_map_chunks;
-///
-/// let doubled = parallel_flat_map_chunks(&[1, 2, 3, 4, 5], 2, 4, |chunk| {
-///     chunk.iter().map(|x| x * 2).collect::<Vec<_>>()
-/// });
-/// assert_eq!(doubled, vec![2, 4, 6, 8, 10]);
-/// ```
-///
-/// # Panics
-/// Panics when `block` is zero and `items` is non-empty.
-pub fn parallel_flat_map_chunks<I, O, F>(items: &[I], block: usize, threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&[I]) -> Vec<O> + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads <= 1 || items.len() <= block {
-        return f(items);
-    }
-    let chunks: Vec<&[I]> = items.chunks(block).collect();
-    parallel_map(chunks, threads, f)
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 /// Fan many independent row groups over **one** worker pool: every group is
 /// cut into contiguous blocks of `block` items, all blocks from all groups
 /// are dispatched together through [`parallel_map`], and the per-block
@@ -121,9 +79,8 @@ where
 /// of its block — regardless of `threads`, `block`, or how groups
 /// interleave.
 ///
-/// With `threads <= 1` each group is processed in one `f(g, group)` call,
-/// exactly like the serial path of
-/// [`Scorer::score`](crate::scorer::Scorer::score).
+/// With `threads <= 1` each group is processed in one `f(g, group)` call.
+/// [`Scorer::score`](crate::scorer::Scorer::score) is this over one group.
 ///
 /// ```
 /// use lte_core::parallel::parallel_flat_map_groups;
@@ -197,20 +154,6 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn flat_map_chunks_matches_serial() {
-        let items: Vec<i64> = (0..1000).collect();
-        let serial: Vec<i64> = items.iter().map(|x| x * 3 - 1).collect();
-        for (block, threads) in [(1, 1), (7, 2), (64, 4), (1000, 4), (2000, 4)] {
-            let out = parallel_flat_map_chunks(&items, block, threads, |chunk| {
-                chunk.iter().map(|x| x * 3 - 1).collect::<Vec<_>>()
-            });
-            assert_eq!(out, serial, "block {block}, {threads} threads");
-        }
-        let empty: Vec<i64> = parallel_flat_map_chunks(&[], 0, 4, |_: &[i64]| Vec::new());
-        assert!(empty.is_empty());
     }
 
     #[test]

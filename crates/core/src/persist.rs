@@ -20,6 +20,7 @@ use crate::context::SubspaceContext;
 use crate::memory::Memories;
 use crate::meta_learner::MetaLearner;
 use crate::pipeline::LtePipeline;
+use crate::routing::PipelineRegistry;
 use crate::uis::UisMode;
 use lte_data::schema::Attribute;
 use lte_data::subspace::Subspace;
@@ -28,8 +29,14 @@ use lte_preprocess::gmm::{Component, Gmm};
 use lte_preprocess::{AttributeEncoder, EncoderConfig, EncoderKind, JenksBreaks, TableEncoder};
 use std::fs;
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"LTEP";
+
+/// Most centers a loaded `Cu`, `Cs` or `Cq` may hold: 5× the paper's
+/// largest center set (`kq = 200`), so a forged count cannot make
+/// [`SubspaceContext::from_parts`] build huge proximity matrices.
+const MAX_CENTERS: usize = 1 << 10;
 
 /// Errors from saving/loading pipelines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,7 +141,8 @@ impl<'a> Dec<'a> {
         Self { data, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos + n > self.data.len() {
+        // `pos + n` could overflow for a forged `n`; the remainder cannot.
+        if n > self.data.len() - self.pos {
             return Err(PersistError::Corrupt("unexpected end of data"));
         }
         let s = &self.data[self.pos..self.pos + n];
@@ -209,9 +217,10 @@ impl<'a> Dec<'a> {
         }
         Ok(v)
     }
-    fn rows(&mut self) -> Result<Vec<Vec<f64>>, PersistError> {
+    /// At most `cap` rows.
+    fn rows(&mut self, cap: usize, what: &'static str) -> Result<Vec<Vec<f64>>, PersistError> {
         // Each row carries at least its 8-byte length.
-        let n = self.len(1 << 24, 8, "too many rows")?;
+        let n = self.len(cap, 8, what)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.f64s()?);
@@ -521,12 +530,18 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
     for _ in 0..n_subspaces {
         let attrs = d.usizes()?;
         let subspace = Subspace::new(attrs);
-        let sample_rows = d.rows()?;
-        let cu = d.rows()?;
-        let cs = d.rows()?;
-        let cq = d.rows()?;
+        let sample_rows = d.rows(1 << 24, "too many rows")?;
+        let cu = d.rows(MAX_CENTERS, "too many centers")?;
+        let cs = d.rows(MAX_CENTERS, "too many centers")?;
+        let cq = d.rows(MAX_CENTERS, "too many centers")?;
         if cu.is_empty() || cs.is_empty() {
             return Err(PersistError::Corrupt("empty center sets"));
+        }
+        if [&cu, &cs, &cq]
+            .iter()
+            .any(|set| set.iter().any(|c| c.len() != subspace.dim()))
+        {
+            return Err(PersistError::Corrupt("center width mismatch"));
         }
         let n_encoders = d.len(1 << 12, 1, "too many encoders")?;
         let mut encoders = Vec::with_capacity(n_encoders);
@@ -534,15 +549,6 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
             encoders.push(get_attribute_encoder(&mut d)?);
         }
         let encoder = TableEncoder::from_encoders(encoders);
-        contexts.push(SubspaceContext::from_parts(
-            subspace.clone(),
-            sample_rows,
-            cu,
-            cs,
-            cq,
-            encoder,
-        ));
-        subspaces.push(subspace);
 
         // The learner is built only once every shape it allocates (`ku`,
         // `nr`, `ne`, `clf_hidden`, `m`) agrees with the φ vectors and
@@ -582,6 +588,20 @@ pub fn pipeline_from_bytes(data: &[u8]) -> Result<LtePipeline, PersistError> {
                 Some(Memories { mvr, mr, mcp })
             }
         };
+        // `from_parts` builds the `|Cu|²` and `|Cs|·|Cu|` proximity
+        // matrices, so `Cu` must be the learner's before it runs.
+        if cu.len() != ku {
+            return Err(PersistError::Corrupt("center count mismatch"));
+        }
+        contexts.push(SubspaceContext::from_parts(
+            subspace.clone(),
+            sample_rows,
+            cu,
+            cs,
+            cq,
+            encoder,
+        ));
+        subspaces.push(subspace);
         let mut learner = MetaLearner::new(ku, nr, &config.net, config.train.clone(), 0);
         learner.set_phi(phi_r, phi_t, phi_clf);
         if let Some(memories) = memories {
@@ -611,26 +631,23 @@ pub fn load_pipeline(path: &Path) -> Result<LtePipeline, PersistError> {
 // --------------------------------------------------------------- registry
 
 const REGISTRY_MAGIC: &[u8; 4] = b"LTER";
-const REGISTRY_VERSION: u8 = 1;
 
-/// Serialize a [`PipelineRegistry`](crate::routing::PipelineRegistry): an `LTER` container holding, per
-/// entry, the name, meta-feature centroid, task tags, and the pipeline as
-/// an embedded length-prefixed LTEP payload (same codec as
-/// [`pipeline_to_bytes`], so registries inherit LTEP's versioning).
-pub fn registry_to_bytes(registry: &crate::routing::PipelineRegistry) -> Vec<u8> {
+/// The one LTER format version this build writes and reads. Version 1
+/// (entries tagged with meta-feature centroids) is refused with
+/// [`PersistError::UnsupportedVersion`].
+const REGISTRY_VERSION: u8 = 2;
+
+/// Serialize a [`PipelineRegistry`]: an `LTER` container holding, per
+/// entry, the name and the pipeline as an embedded length-prefixed LTEP
+/// payload (same codec as [`pipeline_to_bytes`], so registries inherit
+/// LTEP's versioning).
+pub fn registry_to_bytes(registry: &PipelineRegistry) -> Vec<u8> {
     let mut e = Enc::default();
     e.buf.extend_from_slice(REGISTRY_MAGIC);
     e.u8(REGISTRY_VERSION);
     e.usize(registry.len());
     for entry in registry.entries() {
         e.str(entry.name());
-        e.f64s(entry.centroid().values());
-        e.usize(entry.task_tags().len());
-        for tag in entry.task_tags() {
-            e.usize(tag.subspace);
-            e.usize(tag.task_index);
-            e.f64s(tag.features.values());
-        }
         let payload = pipeline_to_bytes(entry.pipeline());
         e.usize(payload.len());
         e.buf.extend_from_slice(&payload);
@@ -638,10 +655,11 @@ pub fn registry_to_bytes(registry: &crate::routing::PipelineRegistry) -> Vec<u8>
     e.buf
 }
 
-/// Deserialize a [`PipelineRegistry`](crate::routing::PipelineRegistry) written by [`registry_to_bytes`].
-/// Entry order — the routing tie-break — is preserved exactly.
-pub fn registry_from_bytes(data: &[u8]) -> Result<crate::routing::PipelineRegistry, PersistError> {
-    use crate::meta_features::MetaFeatures;
+/// Deserialize a [`PipelineRegistry`] written by [`registry_to_bytes`],
+/// in entry order. The container is framed in full before any pipeline
+/// is decoded, and an entry whose name or decomposition repeats an
+/// earlier one is [`PersistError::Corrupt`].
+pub fn registry_from_bytes(data: &[u8]) -> Result<PipelineRegistry, PersistError> {
     let mut d = Dec::new(data);
     if d.take(4)? != REGISTRY_MAGIC {
         return Err(PersistError::BadMagic);
@@ -650,47 +668,35 @@ pub fn registry_from_bytes(data: &[u8]) -> Result<crate::routing::PipelineRegist
     if version != REGISTRY_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let n_entries = d.len(1 << 10, 1, "too many registry entries")?;
-    let mut registry = crate::routing::PipelineRegistry::new();
+    // A name length and a payload length: 16 bytes per entry.
+    let n_entries = d.len(1 << 10, 16, "too many registry entries")?;
+    let mut framed = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
         let name = d.str()?;
-        let centroid = MetaFeatures::from_values(&d.f64s()?)
-            .ok_or(PersistError::Corrupt("bad centroid width"))?;
-        // Two indices and a feature-vector length: 24 bytes per tag.
-        let n_tags = d.len(1 << 20, 24, "too many task tags")?;
-        let mut task_tags = Vec::with_capacity(n_tags);
-        for _ in 0..n_tags {
-            let subspace = d.usize()?;
-            let task_index = d.usize()?;
-            let features = MetaFeatures::from_values(&d.f64s()?)
-                .ok_or(PersistError::Corrupt("bad task-tag feature width"))?;
-            task_tags.push(crate::routing::TaskTag {
-                subspace,
-                task_index,
-                features,
-            });
-        }
         let payload_len = d.usize()?;
-        let payload = d.take(payload_len)?;
-        let pipeline = pipeline_from_bytes(payload)?;
-        registry.register_tagged(&name, std::sync::Arc::new(pipeline), centroid, task_tags);
+        framed.push((name, d.take(payload_len)?));
     }
     if d.pos != data.len() {
         return Err(PersistError::Corrupt("trailing bytes"));
+    }
+    let mut registry = PipelineRegistry::new();
+    for (name, payload) in framed {
+        let pipeline = pipeline_from_bytes(payload)?;
+        if let Some(clash) = registry.clash(&name, pipeline.subspaces()) {
+            return Err(PersistError::Corrupt(clash));
+        }
+        registry.register(&name, Arc::new(pipeline));
     }
     Ok(registry)
 }
 
 /// Save a pipeline registry to a file.
-pub fn save_registry(
-    registry: &crate::routing::PipelineRegistry,
-    path: &Path,
-) -> Result<(), PersistError> {
+pub fn save_registry(registry: &PipelineRegistry, path: &Path) -> Result<(), PersistError> {
     fs::write(path, registry_to_bytes(registry)).map_err(|e| PersistError::Io(e.to_string()))
 }
 
 /// Load a pipeline registry from a file.
-pub fn load_registry(path: &Path) -> Result<crate::routing::PipelineRegistry, PersistError> {
+pub fn load_registry(path: &Path) -> Result<PipelineRegistry, PersistError> {
     let data = fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
     registry_from_bytes(&data)
 }
@@ -846,13 +852,14 @@ mod tests {
         }
     }
 
-    /// A pipeline small enough to decode thousands of times.
-    fn small_pipeline() -> LtePipeline {
+    /// A pipeline over `dim`-wide subspaces, small enough to decode
+    /// thousands of times.
+    fn small_pipeline(dim: usize) -> LtePipeline {
         let table = generate_sdss(1500, 0);
         let mut cfg = LteConfig::reduced();
         cfg.train.n_tasks = 6;
         cfg.train.epochs = 1;
-        LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, 5).0
+        LtePipeline::offline(&table, decompose_sequential(4, dim), cfg, 5).0
     }
 
     /// Offset of the first occurrence of `pattern` in `bytes`.
@@ -896,7 +903,7 @@ mod tests {
     /// allocation sized by it (it used to abort the process).
     #[test]
     fn forged_ku_is_corrupt_not_an_allocation() {
-        let p = small_pipeline();
+        let p = small_pipeline(2);
         let mut bytes = pipeline_to_bytes(&p);
         let learner = &p.learners()[0];
         let (arch, phi_r) = (learner.arch(), learner.phi().0);
@@ -918,7 +925,7 @@ mod tests {
     /// are reserved (it used to abort the process).
     #[test]
     fn forged_matrix_header_is_corrupt_not_an_allocation() {
-        let p = small_pipeline();
+        let p = small_pipeline(2);
         let mut bytes = pipeline_to_bytes(&p);
         let mvr = &p.learners()[0].memories().expect("memories").mvr;
         let mut header = vec![1u8];
@@ -939,7 +946,7 @@ mod tests {
     /// then at a stride through the rest, fails with a typed error.
     #[test]
     fn every_prefix_is_an_error() {
-        let bytes = pipeline_to_bytes(&small_pipeline());
+        let bytes = pipeline_to_bytes(&small_pipeline(2));
         let cuts = (0..256).chain((256..bytes.len()).step_by(97));
         for cut in cuts {
             assert!(
@@ -967,34 +974,106 @@ mod tests {
         assert!(matches!(err, PersistError::Io(_)));
     }
 
+    /// The first subspace's `Cu` or `Cs` (`set` 0 or 1) in `bytes`: the
+    /// offset of its count, its center count and the center width.
+    fn center_set(p: &LtePipeline, bytes: &[u8], set: usize) -> (usize, usize, usize) {
+        let ctx = &p.contexts()[0];
+        let centers = [ctx.cu(), ctx.cs()][set];
+        let (n, dim) = (centers.len(), centers[0].len());
+        let at = find(bytes, &le(&[n as u64, dim as u64, centers[0][0].to_bits()]));
+        (at, n, dim)
+    }
+
+    /// A center count over the cap, a `Cu` one center longer than the
+    /// learner's `ku`, and a center wider than its subspace are each
+    /// refused before the proximity matrices are built.
+    #[test]
+    fn forged_center_sets_are_corrupt() {
+        let p = small_pipeline(2);
+        let bytes = pipeline_to_bytes(&p);
+
+        let (at, _, _) = center_set(&p, &bytes, 1);
+        let mut forged = bytes.clone();
+        forged[at..at + 8].copy_from_slice(&3000u64.to_le_bytes());
+        assert_eq!(
+            pipeline_from_bytes(&forged).unwrap_err(),
+            PersistError::Corrupt("too many centers")
+        );
+
+        let (at, n, dim) = center_set(&p, &bytes, 0);
+        let mut extra = bytes[..at].to_vec();
+        extra.extend(le(&[n as u64 + 1, dim as u64]));
+        extra.extend(le(&vec![0.5f64.to_bits(); dim]));
+        extra.extend(&bytes[at + 8..]);
+        assert_eq!(
+            pipeline_from_bytes(&extra).unwrap_err(),
+            PersistError::Corrupt("center count mismatch")
+        );
+
+        let first = at + 16;
+        let mut wide = bytes[..at + 8].to_vec();
+        wide.extend(le(&[dim as u64 + 1]));
+        wide.extend(&bytes[first..first + 8 * dim]);
+        wide.extend(le(&[0.5f64.to_bits()]));
+        wide.extend(&bytes[first + 8 * dim..]);
+        assert_eq!(
+            pipeline_from_bytes(&wide).unwrap_err(),
+            PersistError::Corrupt("center width mismatch")
+        );
+    }
+
+    /// LTER bytes framing `entries` as given, valid or not.
+    fn lter(entries: &[(&str, &[u8])]) -> Vec<u8> {
+        let mut e = Enc::default();
+        e.buf.extend_from_slice(REGISTRY_MAGIC);
+        e.u8(REGISTRY_VERSION);
+        e.usize(entries.len());
+        for (name, payload) in entries {
+            e.str(name);
+            e.usize(payload.len());
+            e.buf.extend_from_slice(payload);
+        }
+        e.buf
+    }
+
+    /// LTEP bytes of two small pipelines, over 2-D and over 1-D subspaces.
+    fn two_payloads() -> (Vec<u8>, Vec<u8>) {
+        (
+            pipeline_to_bytes(&small_pipeline(2)),
+            pipeline_to_bytes(&small_pipeline(1)),
+        )
+    }
+
     #[test]
     fn registry_round_trip_preserves_entries_and_routing() {
-        use crate::routing::{PipelineRegistry, Router};
         let (p, pool) = trained_pipeline();
         let truth = p.generate_truth(UisMode::new(4, 8), 11, 0.2, 0.9);
         let mut reg = PipelineRegistry::new();
-        reg.register("only", std::sync::Arc::new(p), 6, 21);
+        reg.register("fine", Arc::new(small_pipeline(1)));
+        reg.register("wide", Arc::new(p));
 
         let bytes = registry_to_bytes(&reg);
+        let payload = |i: usize| pipeline_to_bytes(reg.get(i).pipeline());
+        assert!(
+            bytes == lter(&[("fine", &payload(0)), ("wide", &payload(1))]),
+            "v2 is a name and an LTEP payload per entry"
+        );
         let loaded = registry_from_bytes(&bytes).expect("registry round trip");
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded.get(0).name(), "only");
-        assert_eq!(loaded.get(0).centroid(), reg.get(0).centroid());
-        assert_eq!(loaded.get(0).task_tags(), reg.get(0).task_tags());
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.get(0).name(), "fine");
+        assert_eq!(loaded.get(1).name(), "wide");
 
-        // Routing through the loaded registry is identical.
-        let router = Router::new(3);
-        let a = router.route(&reg, &truth, &pool);
-        let b = router.route(&loaded, &truth, &pool);
-        assert_eq!(a, b);
+        // Routing through the loaded registry picks the same entry.
+        assert_eq!(reg.route(&truth), Some(1));
+        assert_eq!(loaded.route(&truth), Some(1));
 
-        // And so is exploration through the loaded pipeline.
+        // And exploration through its pipeline is identical.
         let x = reg
-            .get(0)
+            .get(1)
             .pipeline()
             .explore(&truth, &pool, Variant::Meta, 4);
         let y = loaded
-            .get(0)
+            .get(1)
             .pipeline()
             .explore(&truth, &pool, Variant::Meta, 4);
         assert_eq!(x.confusion, y.confusion);
@@ -1002,7 +1081,6 @@ mod tests {
 
     #[test]
     fn registry_rejects_garbage_and_truncation() {
-        use crate::routing::PipelineRegistry;
         assert_eq!(
             registry_from_bytes(b"nope").unwrap_err(),
             PersistError::BadMagic
@@ -1011,9 +1089,8 @@ mod tests {
             registry_from_bytes(b"LTER\x07").unwrap_err(),
             PersistError::UnsupportedVersion(7)
         );
-        let (p, _) = trained_pipeline();
         let mut reg = PipelineRegistry::new();
-        reg.register("x", std::sync::Arc::new(p), 4, 1);
+        reg.register("x", Arc::new(small_pipeline(2)));
         let bytes = registry_to_bytes(&reg);
         for cut in [5usize, 20, bytes.len() / 2, bytes.len() - 1] {
             let err = registry_from_bytes(&bytes[..cut]).unwrap_err();
@@ -1028,5 +1105,68 @@ mod tests {
         // An empty registry round-trips too.
         let empty = registry_to_bytes(&PipelineRegistry::new());
         assert_eq!(registry_from_bytes(&empty).unwrap().len(), 0);
+    }
+
+    /// A version-1 file is refused rather than read with the version-2
+    /// layout.
+    #[test]
+    fn registry_v1_is_refused_as_unsupported_version() {
+        let (wide, fine) = two_payloads();
+        let mut bytes = lter(&[("wide", &wide), ("fine", &fine)]);
+        assert_eq!(registry_from_bytes(&bytes).expect("v2 loads").len(), 2);
+        bytes[4] = 1;
+        assert_eq!(
+            registry_from_bytes(&bytes).unwrap_err(),
+            PersistError::UnsupportedVersion(1)
+        );
+    }
+
+    /// The container is framed before any payload is decoded, so every
+    /// prefix fails after a few reads.
+    #[test]
+    fn every_registry_prefix_is_an_error() {
+        let (wide, fine) = two_payloads();
+        let bytes = lter(&[("wide", &wide), ("fine", &fine)]);
+        for cut in 0..bytes.len() {
+            assert!(
+                registry_from_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes"
+            );
+        }
+        assert!(registry_from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn repeated_registry_entries_are_corrupt() {
+        let (wide, fine) = two_payloads();
+        assert_eq!(
+            registry_from_bytes(&lter(&[("wide", &wide), ("wide", &fine)])).unwrap_err(),
+            PersistError::Corrupt("repeated registry entry name")
+        );
+        assert_eq!(
+            registry_from_bytes(&lter(&[("wide", &wide), ("again", &wide)])).unwrap_err(),
+            PersistError::Corrupt("repeated registry decomposition")
+        );
+    }
+
+    /// A payload length of `u64::MAX` once overflowed `pos + n` in
+    /// `Dec::take`: a panic in the test build, an out-of-order slice in
+    /// release.
+    #[test]
+    fn forged_payload_length_is_corrupt() {
+        let (wide, fine) = two_payloads();
+        let bytes = lter(&[("wide", &wide), ("fine", &fine)]);
+        // Magic, version and count, then each entry's name and length.
+        let first = 4 + 1 + 8 + 8 + "wide".len();
+        let second = first + 8 + wide.len() + 8 + "fine".len();
+        for (at, len) in [(first, wide.len()), (second, fine.len())] {
+            assert_eq!(bytes[at..at + 8], (len as u64).to_le_bytes());
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert_eq!(
+                registry_from_bytes(&forged).unwrap_err(),
+                PersistError::Corrupt("unexpected end of data")
+            );
+        }
     }
 }

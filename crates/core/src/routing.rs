@@ -1,50 +1,27 @@
-//! Meta-feature task routing over a library of trained pipelines.
+//! Routing by decomposition over a library of trained pipelines.
 //!
-//! One meta-learner per subspace bootstraps a single exploration flavor;
-//! serving real traffic means holding *several* trained [`LtePipeline`]s —
-//! specialists for different interest shapes (broad convex regions vs
-//! fragmented multi-part ones, different decompositions) — and picking the
-//! best match per incoming session. The [`PipelineRegistry`] tags every
-//! pipeline with the meta-feature centroid of (a deterministic sample of)
-//! its training tasks; the [`Router`] extracts the same fixed-order
-//! features from an incoming session's ground truth + probe rows (see
-//! [`crate::meta_features`]) and picks the nearest centroid.
-//!
-//! Routing is **explainable and deterministic** by construction: every
-//! [`RoutingDecision`] carries the per-candidate distances, the chosen
-//! entry's nearest meta-tasks, and per-feature deltas against the chosen
-//! centroid; ties break by the stable registry index; the only randomness
-//! is the seeded probe-row subsample, and it is recorded on the decision.
+//! A pipeline serves only the conjunctive decomposition it was trained
+//! on: its contexts, k-means centers and meta-learners are all
+//! per-subspace (§III-B). A deployment that serves analysts exploring
+//! different decompositions therefore holds several trained
+//! [`LtePipeline`]s, one per decomposition, in a [`PipelineRegistry`], and
+//! sends each session to the entry over its truth's subspaces. The
+//! decomposition is the one thing a deployed router knows about a session
+//! before any label, and it is all the routing there is: a session routed
+//! here is bit-identical to the same session served by its entry's
+//! pipeline unrouted.
 
 use std::sync::Arc;
 
-use crate::feature::expansion_degree;
-use crate::meta_features::{FeatureDelta, MetaFeatures};
-use crate::meta_task::try_generate_task_set;
 use crate::oracle::ConjunctiveOracle;
 use crate::pipeline::LtePipeline;
-use lte_data::rng::{derive_seed, seeded};
-use rand::Rng;
+use lte_data::subspace::Subspace;
 
-/// Where one registry tag came from: the `task_index`-th sampled meta-task
-/// of subspace `subspace`, with its extracted features.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskTag {
-    /// Subspace index within the entry's pipeline.
-    pub subspace: usize,
-    /// Index within that subspace's sampled tag tasks.
-    pub task_index: usize,
-    /// The task's meta-feature vector.
-    pub features: MetaFeatures,
-}
-
-/// One registered pipeline plus its meta-feature tagging.
+/// One registered pipeline and its name.
 #[derive(Debug, Clone)]
 pub struct RegistryEntry {
     name: String,
     pipeline: Arc<LtePipeline>,
-    centroid: MetaFeatures,
-    task_tags: Vec<TaskTag>,
 }
 
 impl RegistryEntry {
@@ -57,21 +34,10 @@ impl RegistryEntry {
     pub fn pipeline(&self) -> &Arc<LtePipeline> {
         &self.pipeline
     }
-
-    /// Centroid of the entry's tag-task features.
-    pub fn centroid(&self) -> &MetaFeatures {
-        &self.centroid
-    }
-
-    /// The sampled training-task tags powering nearest-task explanations.
-    pub fn task_tags(&self) -> &[TaskTag] {
-        &self.task_tags
-    }
 }
 
-/// An ordered library of trained pipelines tagged with the meta-feature
-/// centroids of their training tasks. Entry order is the routing
-/// tie-break, so it is part of the determinism contract.
+/// An ordered library of named pipelines over distinct subspace
+/// decompositions.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineRegistry {
     entries: Vec<RegistryEntry>,
@@ -108,309 +74,48 @@ impl PipelineRegistry {
         self.entries.iter().position(|e| e.name == name)
     }
 
-    /// Register a trained pipeline, tagging it by regenerating
-    /// `tag_tasks_per_subspace` meta-tasks per subspace from the pipeline's
-    /// own contexts and config (seeded by `derive_seed(seed, subspace)` —
-    /// fully deterministic, so re-registering reproduces the same
-    /// centroid). Returns the entry index.
-    ///
-    /// The tag tasks are drawn in the pipeline's *training* UIS mode, so a
-    /// specialist trained on, say, single-hull broad regions gets a
-    /// centroid with high selectivity/dispersion and a fragmented-region
-    /// specialist gets a low one — exactly the signal the router needs.
-    ///
-    /// # Panics
-    /// Panics when the pipeline's contexts cannot generate tasks (see
-    /// [`TaskGenError`](crate::meta_task::TaskGenError)).
-    pub fn register(
-        &mut self,
-        name: &str,
-        pipeline: Arc<LtePipeline>,
-        tag_tasks_per_subspace: usize,
-        seed: u64,
-    ) -> usize {
-        let cfg = pipeline.config();
-        let n_subspaces = pipeline.subspaces().len();
-        let l = expansion_degree(cfg.task.ku, cfg.net.expansion_frac);
-        let mut task_tags = Vec::new();
-        for (s, ctx) in pipeline.contexts().iter().enumerate() {
-            let mut rng = seeded(derive_seed(seed, s as u64));
-            let tasks = try_generate_task_set(ctx, &cfg.task, l, tag_tasks_per_subspace, &mut rng)
-                .unwrap_or_else(|e| panic!("cannot tag pipeline '{name}': {e}"));
-            for (t, task) in tasks.iter().enumerate() {
-                task_tags.push(TaskTag {
-                    subspace: s,
-                    task_index: t,
-                    features: MetaFeatures::from_task(ctx, task, n_subspaces),
-                });
-            }
+    /// Why an entry named `name` over `subspaces` cannot join: its name or
+    /// its decomposition is taken. `None` when it can.
+    pub(crate) fn clash(&self, name: &str, subspaces: &[Subspace]) -> Option<&'static str> {
+        if self.index_of(name).is_some() {
+            Some("repeated registry entry name")
+        } else if self
+            .entries
+            .iter()
+            .any(|e| e.pipeline.subspaces() == subspaces)
+        {
+            Some("repeated registry decomposition")
+        } else {
+            None
         }
-        let centroid = MetaFeatures::centroid(task_tags.iter().map(|t| &t.features));
-        self.register_tagged(name, pipeline, centroid, task_tags)
     }
 
-    /// Register a pipeline with precomputed tagging — the persistence
-    /// load path (see [`crate::persist::registry_from_bytes`]). Returns
-    /// the entry index.
-    pub fn register_tagged(
-        &mut self,
-        name: &str,
-        pipeline: Arc<LtePipeline>,
-        centroid: MetaFeatures,
-        task_tags: Vec<TaskTag>,
-    ) -> usize {
+    /// Register a trained pipeline under `name`. Returns the entry index.
+    ///
+    /// # Panics
+    /// Panics when `name` is taken or another entry is over the same
+    /// decomposition: routing would have no way to choose between them.
+    pub fn register(&mut self, name: &str, pipeline: Arc<LtePipeline>) -> usize {
+        if let Some(clash) = self.clash(name, pipeline.subspaces()) {
+            panic!("cannot register {name:?}: {clash}");
+        }
         self.entries.push(RegistryEntry {
             name: name.to_string(),
             pipeline,
-            centroid,
-            task_tags,
         });
         self.entries.len() - 1
     }
-}
 
-/// One candidate's score inside a routing decision.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateScore {
-    /// Registry entry index.
-    pub index: usize,
-    /// Entry name.
-    pub name: String,
-    /// Weighted distance from the session features to the entry centroid
-    /// (`f64::INFINITY` for incompatible entries).
-    pub distance: f64,
-    /// Whether the entry's subspace decomposition matches the session's.
-    pub compatible: bool,
-}
-
-/// One nearest training task of the chosen entry — the "this session looks
-/// like tasks the pipeline trained on" half of the explanation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NearestTask {
-    /// Subspace index within the chosen pipeline.
-    pub subspace: usize,
-    /// Tag-task index within that subspace.
-    pub task_index: usize,
-    /// Weighted feature distance to the session.
-    pub distance: f64,
-}
-
-/// The auditable outcome of routing one session: which entry was chosen
-/// and *why*. Equality is structural, so determinism tests can compare
-/// whole decisions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutingDecision {
-    /// Index of the chosen registry entry.
-    pub chosen: usize,
-    /// Name of the chosen entry.
-    pub chosen_name: String,
-    /// The session's extracted meta-features.
-    pub session_features: MetaFeatures,
-    /// Every entry's distance, in registry order.
-    pub candidates: Vec<CandidateScore>,
-    /// The chosen entry's nearest training tasks, ascending by distance.
-    pub nearest_meta_tasks: Vec<NearestTask>,
-    /// Per-feature session-vs-centroid comparison against the chosen
-    /// entry, in [`FEATURE_NAMES`](crate::meta_features::FEATURE_NAMES)
-    /// order.
-    pub feature_deltas: Vec<FeatureDelta>,
-    /// Probe rows actually used for feature extraction (after the seeded
-    /// subsample).
-    pub probe_rows_used: usize,
-    /// The router seed in force (provenance of the probe subsample).
-    pub seed: u64,
-}
-
-impl RoutingDecision {
-    /// Render the decision as a deterministic human-readable explanation:
-    /// chosen entry + margin, nearest meta-tasks, and the largest feature
-    /// deltas. Identical decisions render identical strings.
-    pub fn explanation(&self) -> String {
-        let mut out = format!(
-            "routed to '{}' (entry {}) at distance {:.4}",
-            self.chosen_name, self.chosen, self.candidates[self.chosen].distance
-        );
-        let runner_up = self
-            .candidates
-            .iter()
-            .filter(|c| c.compatible && c.index != self.chosen)
-            .min_by(|a, b| {
-                a.distance
-                    .partial_cmp(&b.distance)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.index.cmp(&b.index))
-            });
-        if let Some(r) = runner_up {
-            out.push_str(&format!("; runner-up '{}' at {:.4}", r.name, r.distance));
-        }
-        out.push_str("\nnearest meta-tasks:");
-        for t in &self.nearest_meta_tasks {
-            out.push_str(&format!(
-                " s{}/t{} d={:.4}",
-                t.subspace, t.task_index, t.distance
-            ));
-        }
-        // Largest deltas first (stable tie-break by feature order).
-        let mut ranked: Vec<&FeatureDelta> = self.feature_deltas.iter().collect();
-        ranked.sort_by(|a, b| {
-            b.delta
-                .abs()
-                .partial_cmp(&a.delta.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        out.push_str("\ntop feature deltas:");
-        for d in ranked.iter().take(3) {
-            out.push_str(&format!(
-                " {} {:.3} vs {:.3} (Δ {:+.3})",
-                d.name, d.session, d.centroid, d.delta
-            ));
-        }
-        out
-    }
-}
-
-/// Scores incoming sessions against a [`PipelineRegistry`].
-///
-/// Deterministic: feature extraction is pure, candidate distances are pure,
-/// ties break by the stable registry index, and the only RNG use — the
-/// probe-row subsample when the pool exceeds `max_probe_rows` — is seeded
-/// and recorded on the decision.
-#[derive(Debug, Clone)]
-pub struct Router {
-    seed: u64,
-    k_nearest: usize,
-    max_probe_rows: usize,
-}
-
-impl Router {
-    /// A router with default explanation depth (3 nearest tasks) and probe
-    /// cap (256 rows).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            k_nearest: 3,
-            max_probe_rows: 256,
-        }
-    }
-
-    /// Set how many nearest meta-tasks each decision reports.
-    pub fn with_k_nearest(mut self, k: usize) -> Self {
-        self.k_nearest = k;
-        self
-    }
-
-    /// Set the probe-row cap (larger pools are subsampled, seeded).
-    pub fn with_max_probe_rows(mut self, n: usize) -> Self {
-        self.max_probe_rows = n.max(1);
-        self
-    }
-
-    /// The router's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Route one session: extract its meta-features from `truth` over (a
-    /// seeded subsample of) `probe_rows`, score every registry entry, and
-    /// return the full decision.
-    ///
-    /// Only entries whose subspace decomposition equals the truth's are
-    /// eligible (a pipeline cannot explore a decomposition it was not
-    /// trained on); incompatible entries appear in `candidates` with
-    /// infinite distance.
-    ///
-    /// # Panics
-    /// Panics when the registry is empty or no entry is compatible.
-    pub fn route(
-        &self,
-        registry: &PipelineRegistry,
-        truth: &ConjunctiveOracle,
-        probe_rows: &[Vec<f64>],
-    ) -> RoutingDecision {
-        assert!(!registry.is_empty(), "cannot route over an empty registry");
-        let probe = self.subsample(probe_rows);
-        let session_features = MetaFeatures::from_probe(truth, &probe);
-
-        let truth_subspaces: Vec<_> = truth.parts().iter().map(|(s, _)| s.clone()).collect();
-        let candidates: Vec<CandidateScore> = registry
-            .entries()
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| {
-                let compatible = entry.pipeline().subspaces() == truth_subspaces.as_slice();
-                let distance = if compatible {
-                    session_features.distance(entry.centroid())
-                } else {
-                    f64::INFINITY
-                };
-                CandidateScore {
-                    index: i,
-                    name: entry.name().to_string(),
-                    distance,
-                    compatible,
-                }
-            })
-            .collect();
-
-        // Strictly-smaller comparison in registry order = stable-index
-        // tie-break.
-        let chosen = candidates
-            .iter()
-            .filter(|c| c.compatible)
-            .fold(None::<&CandidateScore>, |best, c| match best {
-                Some(b) if b.distance <= c.distance => Some(b),
-                _ => Some(c),
-            })
-            .expect("no registry pipeline matches the session's subspace decomposition")
-            .index;
-
-        let entry = registry.get(chosen);
-        let mut nearest: Vec<NearestTask> = entry
-            .task_tags()
-            .iter()
-            .map(|t| NearestTask {
-                subspace: t.subspace,
-                task_index: t.task_index,
-                distance: session_features.distance(&t.features),
-            })
-            .collect();
-        nearest.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then((a.subspace, a.task_index).cmp(&(b.subspace, b.task_index)))
-        });
-        nearest.truncate(self.k_nearest);
-
-        let feature_deltas = session_features.deltas(entry.centroid());
-        RoutingDecision {
-            chosen,
-            chosen_name: entry.name().to_string(),
-            session_features,
-            candidates,
-            nearest_meta_tasks: nearest,
-            feature_deltas,
-            probe_rows_used: probe.len(),
-            seed: self.seed,
-        }
-    }
-
-    /// Seeded subsample of the probe pool: a partial Fisher–Yates pick of
-    /// `max_probe_rows` indices, returned in ascending row order so
-    /// downstream extraction sees a stable prefix-like ordering.
-    fn subsample(&self, probe_rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        if probe_rows.len() <= self.max_probe_rows {
-            return probe_rows.to_vec();
-        }
-        let mut rng = seeded(derive_seed(self.seed, 0));
-        let mut indices: Vec<usize> = (0..probe_rows.len()).collect();
-        for i in 0..self.max_probe_rows {
-            let j = rng.random_range(i..indices.len());
-            indices.swap(i, j);
-        }
-        let mut picked = indices[..self.max_probe_rows].to_vec();
-        picked.sort_unstable();
-        picked.into_iter().map(|i| probe_rows[i].clone()).collect()
+    /// The index of the entry over `truth`'s subspaces, in the truth's
+    /// order; `None` when no entry covers that decomposition.
+    pub fn route(&self, truth: &ConjunctiveOracle) -> Option<usize> {
+        self.entries.iter().position(|e| {
+            truth
+                .parts()
+                .iter()
+                .map(|(sub, _)| sub)
+                .eq(e.pipeline.subspaces())
+        })
     }
 }
 
@@ -422,99 +127,52 @@ mod tests {
     use lte_data::generator::generate_sdss;
     use lte_data::subspace::decompose_sequential;
 
-    fn tiny_pipeline(mode: UisMode, seed: u64) -> Arc<LtePipeline> {
+    fn tiny_pipeline(dim: usize, seed: u64) -> Arc<LtePipeline> {
         let table = generate_sdss(2000, 0);
         let mut cfg = LteConfig::reduced();
-        cfg.task.mode = mode;
         cfg.train.n_tasks = 30;
         cfg.train.epochs = 1;
-        let subspaces = decompose_sequential(4, 2);
-        let (p, _) = LtePipeline::offline(&table, subspaces, cfg, seed);
+        let (p, _) = LtePipeline::offline(&table, decompose_sequential(4, dim), cfg, seed);
         Arc::new(p)
-    }
-
-    fn registry_and_truth() -> (PipelineRegistry, ConjunctiveOracle, Vec<Vec<f64>>) {
-        let broad = tiny_pipeline(UisMode::new(1, 12), 5);
-        let narrow = tiny_pipeline(UisMode::new(4, 3), 6);
-        let truth = broad.generate_truth(UisMode::new(1, 12), 9, 0.15, 0.9);
-        let table = generate_sdss(2000, 0);
-        let rows: Vec<Vec<f64>> = (0..500).map(|i| table.row(i).unwrap()).collect();
-        let mut reg = PipelineRegistry::new();
-        reg.register("broad", broad, 8, 100);
-        reg.register("narrow", narrow, 8, 100);
-        (reg, truth, rows)
-    }
-
-    #[test]
-    fn registration_is_deterministic() {
-        let p = tiny_pipeline(UisMode::new(1, 12), 5);
-        let mut a = PipelineRegistry::new();
-        a.register("x", Arc::clone(&p), 8, 100);
-        let mut b = PipelineRegistry::new();
-        b.register("x", p, 8, 100);
-        assert_eq!(a.get(0).centroid(), b.get(0).centroid());
-        assert_eq!(a.get(0).task_tags(), b.get(0).task_tags());
-        assert_eq!(a.index_of("x"), Some(0));
-        assert_eq!(a.index_of("y"), None);
-    }
-
-    #[test]
-    fn route_is_deterministic_with_full_explanation() {
-        let (reg, truth, rows) = registry_and_truth();
-        let router = Router::new(42);
-        let a = router.route(&reg, &truth, &rows);
-        let b = router.route(&reg, &truth, &rows);
-        assert_eq!(a, b, "routing is a pure function of its inputs");
-        assert_eq!(a.candidates.len(), 2);
-        assert!(!a.nearest_meta_tasks.is_empty());
-        assert_eq!(a.feature_deltas.len(), crate::meta_features::FEATURE_COUNT);
-        assert!(!a.explanation().is_empty());
-        assert_eq!(a.explanation(), b.explanation());
-        assert!(a.probe_rows_used <= 256);
-        assert_eq!(a.seed, 42);
-        // Nearest tasks come back ascending by distance.
-        for w in a.nearest_meta_tasks.windows(2) {
-            assert!(w[0].distance <= w[1].distance);
-        }
     }
 
     #[test]
     fn incompatible_decompositions_are_excluded() {
-        let (mut reg, truth, rows) = registry_and_truth();
-        // A third pipeline over a different decomposition (1D subspaces).
-        let table = generate_sdss(2000, 0);
-        let mut cfg = LteConfig::reduced();
-        cfg.train.n_tasks = 30;
-        cfg.train.epochs = 1;
-        let (p, _) = LtePipeline::offline(&table, decompose_sequential(4, 1), cfg, 8);
-        reg.register("one_dim", Arc::new(p), 8, 100);
+        let wide = tiny_pipeline(2, 5);
+        let fine = tiny_pipeline(1, 8);
+        let mut reg = PipelineRegistry::new();
+        assert_eq!(reg.register("wide", Arc::clone(&wide)), 0);
+        assert_eq!(reg.register("fine", Arc::clone(&fine)), 1);
+        assert_eq!(reg.index_of("fine"), Some(1));
+        assert_eq!(reg.index_of("coarse"), None);
 
-        let decision = Router::new(1).route(&reg, &truth, &rows);
-        let odd = &decision.candidates[2];
-        assert!(!odd.compatible);
-        assert_eq!(odd.distance, f64::INFINITY);
-        assert_ne!(decision.chosen, 2);
+        let wide_truth = wide.generate_truth(UisMode::new(1, 12), 9, 0.15, 0.9);
+        let fine_truth = fine.generate_truth(UisMode::new(1, 12), 9, 0.15, 0.9);
+        assert_eq!(reg.route(&wide_truth), Some(0));
+        assert_eq!(reg.route(&fine_truth), Some(1));
+
+        // Same subspaces in another order: no entry covers it.
+        let mut parts = wide_truth.parts().to_vec();
+        parts.reverse();
+        assert_eq!(reg.route(&ConjunctiveOracle::new(parts)), None);
+        assert_eq!(PipelineRegistry::new().route(&wide_truth), None);
     }
 
     #[test]
-    fn probe_subsample_is_seeded_and_capped() {
-        let (reg, truth, rows) = registry_and_truth();
-        let router = Router::new(7).with_max_probe_rows(64);
-        let a = router.route(&reg, &truth, &rows);
-        assert_eq!(a.probe_rows_used, 64);
-        // Different seed, possibly different subsample — but still a valid,
-        // deterministic decision.
-        let b = Router::new(8)
-            .with_max_probe_rows(64)
-            .route(&reg, &truth, &rows);
-        assert_eq!(b.probe_rows_used, 64);
-        assert_eq!(a, router.route(&reg, &truth, &rows));
+    #[should_panic(expected = "cannot register \"again\": repeated registry decomposition")]
+    fn a_repeated_decomposition_is_refused() {
+        let p = tiny_pipeline(2, 5);
+        let mut reg = PipelineRegistry::new();
+        reg.register("first", Arc::clone(&p));
+        reg.register("again", p);
     }
 
     #[test]
-    #[should_panic(expected = "empty registry")]
-    fn empty_registry_panics() {
-        let (_, truth, rows) = registry_and_truth();
-        Router::new(0).route(&PipelineRegistry::new(), &truth, &rows);
+    #[should_panic(expected = "cannot register \"wide\": repeated registry entry name")]
+    fn a_repeated_name_is_refused() {
+        let p = tiny_pipeline(2, 5);
+        let mut reg = PipelineRegistry::new();
+        reg.register("wide", Arc::clone(&p));
+        reg.register("wide", p);
     }
 }

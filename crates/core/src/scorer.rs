@@ -2,9 +2,10 @@
 //! dispatcher.
 //!
 //! Pool scoring has exactly two entry points: [`Scorer::score`] for one
-//! session's pool and [`score_fused_with`] for a cross-session batch. Both
-//! cut rows into the same blocks and run the implementor's serial
-//! [`Scorer::score_block`] kernel on each. The per-point
+//! session's pool and [`score_fused_with`] for a cross-session batch. The
+//! first is the second over one request, so one rule cuts rows into
+//! blocks and runs the implementor's serial [`Scorer::score_block`] kernel
+//! on each. The per-point
 //! [`UisClassifier::logit`](crate::classifier::UisClassifier::logit) stays
 //! the training and gradcheck reference.
 //!
@@ -51,11 +52,11 @@ impl<'a> ScoreRequest<'a> {
 /// Anything that scores encoded pool rows against a UIS feature vector.
 ///
 /// Implementors provide the serial per-block kernel
-/// ([`Scorer::score_block`]); the provided [`Scorer::score`] method layers
-/// the shared block-cutting / parallel-threshold policy on top, and
-/// [`score_fused_with`] fuses many requests over one worker pool. `Fast`
-/// precision must promote its `f32` logits exactly, so every path returns
-/// `f64`.
+/// ([`Scorer::score_block`]); [`score_fused_with`] layers the
+/// block-cutting / parallel-threshold policy on top for many requests over
+/// one worker pool, and the provided [`Scorer::score`] method runs it over
+/// one. `Fast` precision must promote its `f32` logits exactly, so every
+/// path returns `f64`.
 pub trait Scorer: Sync {
     /// Width of the `vR` vector this scorer expects (`ku`).
     fn vr_width(&self) -> usize;
@@ -65,9 +66,11 @@ pub trait Scorer: Sync {
     /// block-parallel dispatch bit-identical to the serial pass.
     fn score_block(&self, v_r: &[f64], rows: &[Vec<f64>], precision: ScoringPrecision) -> Vec<f64>;
 
-    /// Score a whole pool: serial below [`PARALLEL_MIN_ROWS`], otherwise
-    /// fanned over the shared worker pool in [`PARALLEL_BLOCK_ROWS`]
-    /// blocks. Bit-identical to the serial pass at any worker count.
+    /// Score a whole pool: [`score_fused_with`] over this one request at
+    /// [`default_threads`](parallel::default_threads), so serial below
+    /// [`PARALLEL_MIN_ROWS`] and otherwise fanned over the shared worker
+    /// pool in [`PARALLEL_BLOCK_ROWS`] blocks. Bit-identical to the serial
+    /// pass at any worker count.
     ///
     /// ```
     /// use lte_core::classifier::{ClassifierConfig, UisClassifier};
@@ -87,15 +90,16 @@ pub trait Scorer: Sync {
     ///
     /// # Panics
     /// Panics when `req.v_r.len() != self.vr_width()`.
-    fn score(&self, req: &ScoreRequest<'_>) -> Vec<f64> {
-        assert_eq!(req.v_r.len(), self.vr_width(), "vR width mismatch");
-        let threads = parallel::default_threads();
-        if req.rows.len() < PARALLEL_MIN_ROWS || threads <= 1 {
-            return self.score_block(req.v_r, req.rows, req.precision);
-        }
-        parallel::parallel_flat_map_chunks(req.rows, PARALLEL_BLOCK_ROWS, threads, |chunk| {
-            self.score_block(req.v_r, chunk, req.precision)
-        })
+    fn score(&self, req: &ScoreRequest<'_>) -> Vec<f64>
+    where
+        Self: Sized,
+    {
+        let request = FusedRequest {
+            scorer: self,
+            request: *req,
+        };
+        let mut scores = score_fused_with(&[request], parallel::default_threads());
+        scores.pop().expect("one request, one score vector")
     }
 }
 
@@ -113,18 +117,18 @@ pub struct FusedRequest<'a> {
 /// worker pool, returning one logit vector per request (in request order).
 ///
 /// Each request keeps its own scorer, `vR`, and precision — fusion happens
-/// at the dispatch level: every request's rows are cut into the same
-/// contiguous blocks as [`Scorer::score`] and all blocks from all requests
-/// are fanned across one pool via
+/// at the dispatch level: every request's rows are cut into contiguous
+/// [`PARALLEL_BLOCK_ROWS`] blocks and all blocks from all requests are
+/// fanned across one pool via
 /// [`parallel_flat_map_groups`](crate::parallel::parallel_flat_map_groups).
 /// Crucially, the [`PARALLEL_MIN_ROWS`] cutoff is checked against the
 /// **fused** row total, not each request's pool, so many small per-session
 /// pools still get parallel dispatch once their sum is large enough.
 ///
-/// Every output vector is bit-identical to the per-request
-/// `request.scorer.score(&request.request)` call at any worker count,
-/// because [`Scorer::score_block`] maps each row independently of its
-/// block (the invariant the serving determinism suite pins).
+/// Every output vector is bit-identical to [`Scorer::score`] of its
+/// request alone at any worker count, because [`Scorer::score_block`]
+/// maps each row independently of its block (the invariant the serving
+/// determinism suite pins).
 ///
 /// # Panics
 /// Panics when any request's `vR` width disagrees with its scorer.
@@ -195,10 +199,10 @@ mod tests {
                 request: ScoreRequest::new(&v2, &p2, ScoringPrecision::Fast),
             },
         ];
-        let reference: Vec<Vec<f64>> = requests
-            .iter()
-            .map(|r| r.scorer.score(&r.request))
-            .collect();
+        let reference = [
+            c1.score(&requests[0].request),
+            c2.score(&requests[1].request),
+        ];
         for threads in [1, 2, 4] {
             let fused = score_fused_with(&requests, threads);
             assert_eq!(fused.len(), reference.len());

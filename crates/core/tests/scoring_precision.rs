@@ -9,7 +9,7 @@
 
 use lte_core::classifier::{ClassifierConfig, UisClassifier};
 use lte_core::config::ScoringPrecision;
-use lte_core::parallel::parallel_flat_map_chunks;
+use lte_core::parallel::parallel_flat_map_groups;
 use lte_core::scorer::{
     score_fused_with, FusedRequest, ScoreRequest, Scorer, PARALLEL_BLOCK_ROWS, PARALLEL_MIN_ROWS,
 };
@@ -148,8 +148,9 @@ proptest! {
     /// every block size and worker count, for both precisions. The public
     /// `Scorer::score` only parallelizes beyond `PARALLEL_MIN_ROWS`, so
     /// this drives the `score_block` kernel directly through
-    /// `parallel_flat_map_chunks` with forced thread counts (the CI
-    /// container may expose one core). A block runs in row tiles that keep
+    /// `parallel_flat_map_groups` over one group, the dispatch
+    /// `Scorer::score` runs, with forced thread counts (the CI container
+    /// may expose one core). A block runs in row tiles that keep
     /// its widest layer within 32 KiB of `f32`s (`Fast`) or `f64`s
     /// (`Exact`), at most 512 rows (256 and 128 at `ne = 32`), so the
     /// pools reach past two of the largest tiles plus a ragged tail.
@@ -165,10 +166,11 @@ proptest! {
         let (clf, v_r, tuples) = setup(seed, 5, 4, ne, use_conversion, pool);
         for precision in [ScoringPrecision::Exact, ScoringPrecision::Fast] {
             let serial = clf.score_block(&v_r, &tuples, precision);
-            let chunked = parallel_flat_map_chunks(&tuples, block, threads, |chunk| {
+            let chunked = parallel_flat_map_groups(&[tuples.as_slice()], block, threads, |_, chunk| {
                 clf.score_block(&v_r, chunk, precision)
             });
-            prop_assert_eq!(bits(&serial), bits(&chunked));
+            prop_assert_eq!(chunked.len(), 1);
+            prop_assert_eq!(bits(&serial), bits(&chunked[0]));
         }
     }
 

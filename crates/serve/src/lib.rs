@@ -81,7 +81,7 @@ pub use admission::{AdmissionQueue, AdmissionState};
 pub use engine::{SessionEngine, SessionOutcome, SessionRequest};
 pub use scenario::{Cohort, ScenarioConfig, ScenarioOutcome, ScenarioRequest};
 pub use service::{
-    RoutedSession, ScoringService, ScoringServiceBuilder, ServiceOutcome, ServiceStats, TickReport,
+    ScoringService, ScoringServiceBuilder, ServiceOutcome, ServiceStats, TickReport,
 };
 pub use stats::{percentile, CohortStats, ScenarioReport, ThroughputStats};
 pub use swap::{DecompositionMismatch, SwapCell};

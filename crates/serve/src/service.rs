@@ -45,13 +45,13 @@
 //! batch across all of them.
 
 use crate::admission::{AdmissionQueue, AdmissionState};
-use crate::engine::{SessionEngine, SessionOutcome, SessionRequest};
+use crate::engine::SessionRequest;
 use crate::swap::SwapCell;
 use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
 use lte_core::oracle::BehaviorOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, RoundTruth, UirOutcome, UirTally};
-use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
+use lte_core::routing::PipelineRegistry;
 use lte_core::scenario::BehaviorConfig;
 use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
@@ -79,15 +79,15 @@ struct ShardCache {
     pool: EncodedPool,
 }
 
-/// A family of shards fed by one [`Router`]: every entry of the registry
-/// became an internal shard at [`ScoringService::add_routed_shard`] time,
-/// and [`ScoringService::submit_routed`] picks among them per session.
+/// A family of shards over one [`PipelineRegistry`]: every entry of the
+/// registry became an internal shard at
+/// [`ScoringService::add_routed_shard`] time, and
+/// [`ScoringService::submit_routed`] sends each session to the entry over
+/// its truth's decomposition.
 #[derive(Debug)]
 struct RoutedGroup {
     name: String,
     registry: Arc<PipelineRegistry>,
-    router: Router,
-    eval_rows: Vec<Vec<f64>>,
     /// Internal shard index for each registry entry, in entry order.
     shards: Vec<usize>,
 }
@@ -104,7 +104,6 @@ struct Session {
     /// Whether the outcome carries an [`AnalystReport`]: true for a
     /// scenario cohort's analyst.
     reports_analyst: bool,
-    routing: Option<RoutingDecision>,
     submit_seq: u64,
     submit_tick: u64,
     /// Set when the session is admitted.
@@ -187,7 +186,6 @@ impl Session {
             submit_tick: self.submit_tick,
             admitted_tick: self.admitted_tick,
             completed_tick: tick,
-            routing: self.routing,
             analyst: report,
         }
     }
@@ -229,11 +227,6 @@ pub struct ServiceOutcome {
     pub admitted_tick: u64,
     /// Tick at which the session's last round finished.
     pub completed_tick: u64,
-    /// How the session was routed — `Some` for sessions submitted through
-    /// [`ScoringService::submit_routed`], `None` for plain shard
-    /// submissions. The decision (and its explanation) is computed at
-    /// submit time and carried through unchanged.
-    pub routing: Option<RoutingDecision>,
     /// `Some` for a scenario analyst's session.
     pub(crate) analyst: Option<AnalystReport>,
 }
@@ -298,34 +291,29 @@ impl ServiceStats {
 /// place.
 ///
 /// ```no_run
-/// use lte_core::{LtePipeline, PipelineRegistry, Router};
+/// use lte_core::{LtePipeline, PipelineRegistry};
 /// use lte_serve::ScoringService;
 /// use std::sync::Arc;
 ///
 /// fn build_service(
 ///     pipeline: Arc<LtePipeline>,
 ///     registry: Arc<PipelineRegistry>,
-///     router: Router,
 ///     rows: Vec<Vec<f64>>,
 /// ) -> ScoringService {
 ///     ScoringService::builder()
 ///         .workers(4)
 ///         .capacity(64)
 ///         .shard("sdss", pipeline, rows.clone())
-///         .routed_shard("analyst", registry, router, rows)
+///         .routed_shard("analyst", registry, rows)
 ///         .build()
 /// }
 /// ```
-/// A routed-group registration queued by the builder: group name,
-/// registry, router, and the group's full-space eval rows.
-type RoutedSpec = (String, Arc<PipelineRegistry>, Router, Vec<Vec<f64>>);
-
 #[derive(Debug)]
 pub struct ScoringServiceBuilder {
     workers: usize,
     capacity: usize,
     shards: Vec<(String, Arc<LtePipeline>, Vec<Vec<f64>>)>,
-    routed: Vec<RoutedSpec>,
+    routed: Vec<(String, Arc<PipelineRegistry>, Vec<Vec<f64>>)>,
 }
 
 impl Default for ScoringServiceBuilder {
@@ -371,11 +359,9 @@ impl ScoringServiceBuilder {
         mut self,
         name: &str,
         registry: Arc<PipelineRegistry>,
-        router: Router,
         eval_rows: Vec<Vec<f64>>,
     ) -> Self {
-        self.routed
-            .push((name.to_string(), registry, router, eval_rows));
+        self.routed.push((name.to_string(), registry, eval_rows));
         self
     }
 
@@ -396,8 +382,8 @@ impl ScoringServiceBuilder {
         for (name, pipeline, rows) in self.shards {
             service.add_shard(&name, pipeline, rows);
         }
-        for (name, registry, router, rows) in self.routed {
-            service.add_routed_shard(&name, registry, router, rows);
+        for (name, registry, rows) in self.routed {
+            service.add_routed_shard(&name, registry, rows);
         }
         service
     }
@@ -456,14 +442,17 @@ impl ScoringService {
 
     /// Register a routed shard group: every entry of `registry` becomes an
     /// internal shard named `"{name}/{entry}"` (same retrieval pool, own
-    /// [`SwapCell`]), and [`ScoringService::submit_routed`] lets the
-    /// [`Router`] pick among them per session. Returns the group index.
+    /// [`SwapCell`]), and [`ScoringService::submit_routed`] sends each
+    /// session to the entry over its truth's decomposition. Returns the
+    /// group index.
     ///
     /// Routing composes with everything the plain shards already do: the
-    /// chosen entry's rounds are fused into the same per-tick scoring call
-    /// as every other session, its encoded pool is cached per epoch, and
-    /// each entry can still be hot-swapped through
-    /// [`ScoringService::swap_handle`] on its internal shard.
+    /// entry's rounds are fused into the same per-tick scoring call as
+    /// every other session, its encoded pool is cached per epoch, and each
+    /// entry can still be hot-swapped through
+    /// [`ScoringService::swap_handle`] on its internal shard. The cell
+    /// refuses a pipeline over another decomposition, so the group's
+    /// routing stays valid across swaps.
     ///
     /// # Panics
     /// Panics when the registry is empty or a name collides.
@@ -471,7 +460,6 @@ impl ScoringService {
         &mut self,
         name: &str,
         registry: Arc<PipelineRegistry>,
-        router: Router,
         eval_rows: Vec<Vec<f64>>,
     ) -> usize {
         assert!(
@@ -496,8 +484,6 @@ impl ScoringService {
         self.groups.push(RoutedGroup {
             name: name.to_string(),
             registry,
-            router,
-            eval_rows,
             shards,
         });
         self.groups.len() - 1
@@ -543,7 +529,7 @@ impl ScoringService {
         let shard = self
             .shard_index(shard)
             .unwrap_or_else(|| panic!("unknown shard {shard:?}"));
-        self.submit_to(shard, request, None, None)
+        self.submit_to(shard, request, None)
     }
 
     /// [`ScoringService::submit`] for a simulated analyst who behaves as
@@ -557,35 +543,30 @@ impl ScoringService {
         let shard = self
             .shard_index(shard)
             .unwrap_or_else(|| panic!("unknown shard {shard:?}"));
-        self.submit_to(shard, request, Some(behavior), None)
+        self.submit_to(shard, request, Some(behavior))
     }
 
-    /// Submit a session to a routed group: the group's [`Router`] scores
-    /// the session's ground truth against the registry and the session is
-    /// parked on the chosen entry's internal shard. The full
-    /// [`RoutingDecision`] (with its explanation) is returned immediately
-    /// and echoed on the session's [`ServiceOutcome`].
-    ///
-    /// The decision depends only on the router seed, the session's truth,
-    /// and the group's retrieval pool — never on the worker count, tick
-    /// phase, or other in-flight sessions.
+    /// Submit a session to a routed group: it is parked, as
+    /// [`ScoringService::submit`] parks it, on the internal shard of the
+    /// registry entry over its truth's decomposition
+    /// ([`PipelineRegistry::route`]). The outcome's `shard` names that
+    /// entry, and the session runs bit-identical to the same request
+    /// submitted to the entry's pipeline unrouted.
     ///
     /// # Panics
-    /// Panics when the group name is unknown or no registry entry is
-    /// compatible with the session's subspace decomposition.
-    pub fn submit_routed(
-        &mut self,
-        group: &str,
-        request: SessionRequest,
-    ) -> (AdmissionState, RoutingDecision) {
+    /// Panics with `unknown routed shard` when the group name is unknown,
+    /// and with `no entry of routed shard {group:?} covers the session's
+    /// subspace decomposition` when [`PipelineRegistry::route`] returns
+    /// `None`.
+    pub fn submit_routed(&mut self, group: &str, request: SessionRequest) -> AdmissionState {
         let g = self
             .group_index(group)
             .unwrap_or_else(|| panic!("unknown routed shard {group:?}"));
         let g = &self.groups[g];
-        let decision = g.router.route(&g.registry, &request.truth, &g.eval_rows);
-        let shard = g.shards[decision.chosen];
-        let state = self.submit_to(shard, request, None, Some(decision.clone()));
-        (state, decision)
+        let entry = g.registry.route(&request.truth).unwrap_or_else(|| {
+            panic!("no entry of routed shard {group:?} covers the session's subspace decomposition")
+        });
+        self.submit_to(g.shards[entry], request, None)
     }
 
     fn submit_to(
@@ -593,7 +574,6 @@ impl ScoringService {
         shard: usize,
         request: SessionRequest,
         behavior: Option<&BehaviorConfig>,
-        routing: Option<RoutingDecision>,
     ) -> AdmissionState {
         let subspaces = self.shards[shard].cell.subspaces();
         assert_eq!(
@@ -627,7 +607,6 @@ impl ScoringService {
             seed,
             analyst,
             reports_analyst: behavior.is_some(),
-            routing,
             submit_seq: self.submit_seq,
             submit_tick: self.tick,
             admitted_tick: self.tick,
@@ -873,60 +852,10 @@ impl ScoringService {
     }
 }
 
-/// One completed routed session: the outcome plus the routing decision
-/// that picked its pipeline.
-#[derive(Debug, Clone)]
-pub struct RoutedSession {
-    /// The session result, as [`SessionEngine::run_sessions`] returns it.
-    pub outcome: SessionOutcome,
-    /// Which registry entry served it, and why (see
-    /// [`RoutingDecision::explanation`]).
-    pub decision: RoutingDecision,
-}
-
-impl SessionEngine {
-    /// Serve every request through a [`PipelineRegistry`]: the router
-    /// picks a pipeline per session (explained in each
-    /// [`RoutedSession::decision`]) and the sessions run through the fused
-    /// [`ScoringService`] tick loop at this engine's worker count.
-    ///
-    /// The engine's own pipeline is not consulted — the registry is the
-    /// model library — but the worker pool and determinism contract are
-    /// the engine's: outcomes come back in request order, bit-identical at
-    /// any worker count. With a single-entry registry this degenerates to
-    /// [`SessionEngine::run_sessions`] over that entry's pipeline, bitwise.
-    pub fn run_sessions_routed(
-        &self,
-        requests: Vec<SessionRequest>,
-        eval_rows: &[Vec<f64>],
-        registry: Arc<PipelineRegistry>,
-        router: Router,
-    ) -> Vec<RoutedSession> {
-        let mut service = ScoringService::builder()
-            .workers(self.workers())
-            .routed_shard("routed", registry, router, eval_rows.to_vec())
-            .build();
-        for req in requests {
-            service.submit_routed("routed", req);
-        }
-        service.run_until_idle();
-        let mut done = service.take_completed();
-        done.sort_by_key(|o| o.submit_seq);
-        done.into_iter()
-            .map(|o| RoutedSession {
-                outcome: SessionOutcome {
-                    id: o.id,
-                    outcome: o.outcome,
-                },
-                decision: o.routing.expect("routed submissions carry a decision"),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SessionEngine;
     use lte_core::config::LteConfig;
     use lte_core::oracle::ConjunctiveOracle;
     use lte_core::uis::UisMode;

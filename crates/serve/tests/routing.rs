@@ -1,59 +1,57 @@
-//! Routed serving must keep every contract the unrouted service already
-//! holds: decisions and their explanations are pure functions of the
-//! request (identical at any worker count), a registry survives the LTER
-//! persistence round trip without perturbing a single routing bit, and a
-//! degenerate single-entry registry is *bitwise invisible* — routing over
-//! it produces exactly the unrouted fused path's outputs.
+//! Routed serving sends each session to the registry entry over its
+//! truth's subspace decomposition and keeps every contract the unrouted
+//! service holds: a routed session completes bit-identical to
+//! `LtePipeline::explore` on that entry's pipeline at any worker count, a
+//! registry survives the LTER persistence round trip without moving a
+//! bit, and a truth no entry covers is refused at submission.
 
 use lte_core::config::LteConfig;
 use lte_core::explore::Variant;
+use lte_core::oracle::ConjunctiveOracle;
 use lte_core::persist::{registry_from_bytes, registry_to_bytes};
 use lte_core::pipeline::{LtePipeline, UirOutcome};
-use lte_core::routing::{PipelineRegistry, Router};
+use lte_core::routing::PipelineRegistry;
 use lte_core::uis::UisMode;
 use lte_data::generator::generate_sdss;
 use lte_data::rng::derive_seed;
-use lte_data::subspace::decompose_sequential;
-use lte_serve::{ScoringService, SessionEngine, SessionRequest};
+use lte_data::subspace::{decompose_sequential, Subspace};
+use lte_serve::{AdmissionState, ScoringService, SessionEngine, SessionRequest};
 use std::sync::Arc;
 
-fn specialist(mode: UisMode, seed: u64) -> Arc<LtePipeline> {
+/// A pipeline over `decompose_sequential(4, dim)`.
+fn pipeline_over(dim: usize, seed: u64) -> Arc<LtePipeline> {
     let table = generate_sdss(2000, 0);
     let mut cfg = LteConfig::reduced();
-    cfg.task.mode = mode;
     cfg.train.n_tasks = 40;
     cfg.train.epochs = 1;
-    let (p, _) = LtePipeline::offline(&table, decompose_sequential(4, 2), cfg, seed);
+    let (p, _) = LtePipeline::offline(&table, decompose_sequential(4, dim), cfg, seed);
     Arc::new(p)
 }
 
-/// A two-specialist registry (broad convex truths vs fragmented narrow
-/// ones), the shared retrieval pool, and a mixed request stream drawn from
-/// both truth families.
+/// A registry of one pipeline over `{0,1} {2,3}` (`wide`) and one over
+/// each attribute alone (`fine`), the shared retrieval pool, and requests
+/// alternating between truths over the two decompositions.
 fn setup() -> (Arc<PipelineRegistry>, Vec<Vec<f64>>, Vec<SessionRequest>) {
-    let broad = specialist(UisMode::new(1, 12), 5);
-    let narrow = specialist(UisMode::new(4, 3), 6);
+    let wide = pipeline_over(2, 5);
+    let fine = pipeline_over(1, 6);
     let table = generate_sdss(2000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
 
-    let mut requests = Vec::new();
-    for i in 0..6u64 {
-        let mode = if i % 2 == 0 {
-            UisMode::new(1, 12)
-        } else {
-            UisMode::new(4, 3)
-        };
-        requests.push(SessionRequest {
-            id: i,
-            truth: broad.generate_truth(mode, derive_seed(33, i), 0.15, 0.9),
-            variant: Variant::Meta,
-            seed: derive_seed(44, i),
-        });
-    }
+    let requests = (0..6u64)
+        .map(|i| {
+            let over = if i % 2 == 0 { &wide } else { &fine };
+            SessionRequest {
+                id: i,
+                truth: over.generate_truth(UisMode::new(1, 12), derive_seed(33, i), 0.15, 0.9),
+                variant: Variant::Meta,
+                seed: derive_seed(44, i),
+            }
+        })
+        .collect();
 
     let mut registry = PipelineRegistry::new();
-    registry.register("broad", broad, 8, 100);
-    registry.register("narrow", narrow, 8, 100);
+    registry.register("wide", wide);
+    registry.register("fine", fine);
     (Arc::new(registry), pool, requests)
 }
 
@@ -75,58 +73,66 @@ fn outcome_bytes(o: &UirOutcome) -> Vec<u64> {
     bytes
 }
 
-#[test]
-fn routed_decisions_and_outcomes_are_identical_at_one_and_four_workers() {
-    let (registry, pool, requests) = setup();
-    let run = |workers: usize| {
-        let engine = SessionEngine::with_workers(Arc::clone(registry.get(0).pipeline()), workers);
-        engine.run_sessions_routed(
-            requests.clone(),
-            &pool,
-            Arc::clone(&registry),
-            Router::new(42),
-        )
-    };
-    let one = run(1);
-    let four = run(4);
-    assert_eq!(one.len(), 6);
-    for (a, b) in one.iter().zip(&four) {
-        assert_eq!(a.outcome.id, b.outcome.id);
-        assert_eq!(a.decision, b.decision, "decision diverged across workers");
-        assert_eq!(a.decision.explanation(), b.decision.explanation());
+/// Serve `requests` through a routed group over `registry` at `workers`
+/// and return, in submission order, each session's shard name and
+/// outcome.
+fn serve_routed(
+    registry: &Arc<PipelineRegistry>,
+    pool: &[Vec<f64>],
+    requests: &[SessionRequest],
+    workers: usize,
+) -> Vec<(String, UirOutcome)> {
+    let mut service = ScoringService::builder()
+        .workers(workers)
+        .routed_shard("mixed", Arc::clone(registry), pool.to_vec())
+        .build();
+    for req in requests {
+        let state = service.submit_routed("mixed", req.clone());
+        assert_eq!(state, AdmissionState::Admitted);
+    }
+    service.run_until_idle();
+    let mut done = service.take_completed();
+    done.sort_by_key(|o| o.submit_seq);
+    done.into_iter()
+        .map(|o| (service.shard_name(o.shard).to_string(), o.outcome))
+        .collect()
+}
+
+/// Every routed session ran on the entry over its truth's decomposition
+/// and equals `explore` on that entry's pipeline, bit for bit.
+fn assert_matches_explore(
+    registry: &PipelineRegistry,
+    pool: &[Vec<f64>],
+    requests: &[SessionRequest],
+    served: &[(String, UirOutcome)],
+) {
+    assert_eq!(served.len(), requests.len());
+    for (req, (shard, outcome)) in requests.iter().zip(served) {
+        let entry = registry.route(&req.truth).expect("covered");
+        assert_eq!(shard, &format!("mixed/{}", registry.get(entry).name()));
+        let solo = registry
+            .get(entry)
+            .pipeline()
+            .explore(&req.truth, pool, req.variant, req.seed);
         assert_eq!(
-            outcome_bytes(&a.outcome.outcome),
-            outcome_bytes(&b.outcome.outcome),
-            "session {} outcome diverged across workers",
-            a.outcome.id
+            outcome_bytes(outcome),
+            outcome_bytes(&solo),
+            "session {} diverged from explore on {shard}",
+            req.id
         );
     }
 }
 
 #[test]
-fn explanations_are_non_empty_and_pinned() {
+fn routed_decisions_and_outcomes_are_identical_at_one_and_four_workers() {
     let (registry, pool, requests) = setup();
-    let engine = SessionEngine::with_workers(Arc::clone(registry.get(0).pipeline()), 2);
-    let routed =
-        engine.run_sessions_routed(requests, &pool, Arc::clone(&registry), Router::new(42));
-
-    let mut chosen = std::collections::BTreeSet::new();
-    for r in &routed {
-        let text = r.decision.explanation();
-        assert!(!text.is_empty());
-        assert!(
-            text.starts_with(&format!(
-                "routed to '{}' (entry {}) at distance ",
-                r.decision.chosen_name, r.decision.chosen
-            )),
-            "unexpected explanation shape: {text}"
-        );
-        assert!(text.contains("nearest meta-tasks:"), "{text}");
-        assert!(text.contains("top feature deltas:"), "{text}");
-        chosen.insert(r.decision.chosen);
+    for workers in [1, 4] {
+        let served = serve_routed(&registry, &pool, &requests, workers);
+        assert_matches_explore(&registry, &pool, &requests, &served);
+        // The alternating stream really exercises both entries.
+        assert_eq!(served[0].0, "mixed/wide");
+        assert_eq!(served[1].0, "mixed/fine");
     }
-    // The mixed broad/narrow stream really exercises both specialists.
-    assert_eq!(chosen.len(), 2, "expected both registry entries to serve");
 }
 
 #[test]
@@ -134,45 +140,28 @@ fn registry_persist_round_trip_preserves_routing_bitwise() {
     let (registry, pool, requests) = setup();
     let reloaded =
         Arc::new(registry_from_bytes(&registry_to_bytes(&registry)).expect("registry round trip"));
-
-    let engine = SessionEngine::with_workers(Arc::clone(registry.get(0).pipeline()), 2);
-    let mem = engine.run_sessions_routed(
-        requests.clone(),
-        &pool,
-        Arc::clone(&registry),
-        Router::new(7),
-    );
-    let disk = engine.run_sessions_routed(requests, &pool, reloaded, Router::new(7));
-    for (a, b) in mem.iter().zip(&disk) {
-        assert_eq!(a.decision, b.decision, "decision diverged after reload");
-        assert_eq!(
-            outcome_bytes(&a.outcome.outcome),
-            outcome_bytes(&b.outcome.outcome),
-            "session {} diverged after registry reload",
-            a.outcome.id
-        );
+    for workers in [1, 4] {
+        let served = serve_routed(&reloaded, &pool, &requests, workers);
+        assert_matches_explore(&registry, &pool, &requests, &served);
     }
 }
 
 #[test]
 fn single_entry_registry_matches_unrouted_path_bitwise() {
-    let (_, pool, requests) = setup();
-    let only = specialist(UisMode::new(1, 12), 5);
-    let mut registry = PipelineRegistry::new();
-    registry.register("only", Arc::clone(&only), 8, 100);
-    let registry = Arc::new(registry);
+    let (registry, pool, requests) = setup();
+    let wide = Arc::clone(registry.get(0).pipeline());
+    let requests: Vec<SessionRequest> = requests.into_iter().step_by(2).collect();
+    let mut only = PipelineRegistry::new();
+    only.register("wide", Arc::clone(&wide));
 
-    let engine = SessionEngine::with_workers(only, 2);
-    let unrouted = engine.run_sessions(requests.clone(), &pool);
-    let routed = engine.run_sessions_routed(requests, &pool, registry, Router::new(42));
-
+    let unrouted = SessionEngine::with_workers(wide, 2).run_sessions(requests.clone(), &pool);
+    let routed = serve_routed(&Arc::new(only), &pool, &requests, 2);
     assert_eq!(unrouted.len(), routed.len());
-    for (a, b) in unrouted.iter().zip(&routed) {
-        assert_eq!(a.id, b.outcome.id);
-        assert_eq!(b.decision.chosen, 0);
+    for (a, (shard, b)) in unrouted.iter().zip(&routed) {
+        assert_eq!(shard, "mixed/wide");
         assert_eq!(
             outcome_bytes(&a.outcome),
-            outcome_bytes(&b.outcome.outcome),
+            outcome_bytes(b),
             "session {} diverged between unrouted and single-entry routed",
             a.id
         );
@@ -182,49 +171,43 @@ fn single_entry_registry_matches_unrouted_path_bitwise() {
 #[test]
 fn routed_group_composes_with_plain_shards_and_builder() {
     let (registry, pool, requests) = setup();
-    let plain = specialist(UisMode::new(1, 12), 5);
+    let plain = Arc::clone(registry.get(0).pipeline());
 
     let mut service = ScoringService::builder()
         .workers(2)
         .capacity(16)
-        .shard("plain", Arc::clone(&plain), pool.clone())
-        .routed_shard(
-            "mixed",
-            Arc::clone(&registry),
-            Router::new(42),
-            pool.clone(),
-        )
+        .shard("plain", plain, pool.clone())
+        .routed_shard("mixed", Arc::clone(&registry), pool.clone())
         .build();
     assert!(service.shard_index("plain").is_some());
-    assert!(service.shard_index("mixed/broad").is_some());
-    assert!(service.shard_index("mixed/narrow").is_some());
+    assert!(service.shard_index("mixed/wide").is_some());
+    assert!(service.shard_index("mixed/fine").is_some());
     assert!(service.group_index("mixed").is_some());
 
-    for req in requests.iter().take(2).cloned() {
+    for req in requests.iter().step_by(2).cloned() {
         service.submit("plain", req);
     }
-    let mut decisions = Vec::new();
     for req in requests.iter().cloned() {
-        let (_, d) = service.submit_routed("mixed", req);
-        decisions.push(d);
+        service.submit_routed("mixed", req);
     }
     service.run_until_idle();
     let done = service.take_completed();
-    assert_eq!(done.len(), 8);
+    assert_eq!(done.len(), 9);
 
+    let mut per_shard = std::collections::BTreeMap::new();
     for o in &done {
-        if service.shard_name(o.shard) == "plain" {
-            assert!(o.routing.is_none());
-        } else {
-            let d = o.routing.as_ref().expect("routed outcome keeps decision");
-            // The outcome's decision is the one returned at submit time.
-            assert_eq!(d, &decisions[o.id as usize]);
+        *per_shard.entry(service.shard_name(o.shard)).or_insert(0) += 1;
+        let req = &requests[o.id as usize];
+        if service.shard_name(o.shard) != "plain" {
+            let entry = registry.route(&req.truth).expect("covered");
             assert_eq!(
                 service.shard_name(o.shard),
-                format!("mixed/{}", d.chosen_name)
+                format!("mixed/{}", registry.get(entry).name())
             );
         }
     }
+    let expected = [("mixed/fine", 3), ("mixed/wide", 3), ("plain", 3)];
+    assert_eq!(per_shard.into_iter().collect::<Vec<_>>(), expected);
 }
 
 #[test]
@@ -233,7 +216,31 @@ fn submitting_to_an_unknown_group_panics() {
     let (registry, pool, requests) = setup();
     let mut service = ScoringService::builder()
         .workers(1)
-        .routed_shard("mixed", registry, Router::new(1), pool)
+        .routed_shard("mixed", registry, pool)
         .build();
     service.submit_routed("nope", requests[0].clone());
+}
+
+#[test]
+#[should_panic(
+    expected = "no entry of routed shard \"mixed\" covers the session's subspace decomposition"
+)]
+fn a_truth_no_entry_covers_panics_in_submit_routed() {
+    let (registry, pool, requests) = setup();
+    // The wide truth's regions over `{0,2} {1,3}`: a third decomposition.
+    let other = [Subspace::new(vec![0, 2]), Subspace::new(vec![1, 3])];
+    let parts = requests[0]
+        .truth
+        .parts()
+        .iter()
+        .zip(other)
+        .map(|((_, region), sub)| (sub, region.clone()))
+        .collect();
+    let mut req = requests[0].clone();
+    req.truth = ConjunctiveOracle::new(parts);
+    let mut service = ScoringService::builder()
+        .workers(1)
+        .routed_shard("mixed", registry, pool)
+        .build();
+    service.submit_routed("mixed", req);
 }

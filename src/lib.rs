@@ -53,14 +53,13 @@ pub use lte_serve as serve;
 pub mod prelude {
     pub use lte_core::config::{LteConfig, ScoringPrecision};
     pub use lte_core::explore::Variant;
-    pub use lte_core::meta_features::{FeatureDelta, MetaFeatures};
     pub use lte_core::metrics::ConfusionMatrix;
     pub use lte_core::oracle::{
         BehaviorOracle, Cadence, ConjunctiveOracle, RegionOracle, SubspaceOracle,
     };
     pub use lte_core::persist::{load_pipeline, load_registry, save_pipeline, save_registry};
     pub use lte_core::pipeline::{LtePipeline, UirOutcome};
-    pub use lte_core::routing::{PipelineRegistry, Router, RoutingDecision};
+    pub use lte_core::routing::PipelineRegistry;
     pub use lte_core::scenario::{BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger};
     pub use lte_core::scorer::{ScoreRequest, Scorer};
     pub use lte_core::uis::UisMode;
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use lte_geom::{Region, RegionUnion};
     pub use lte_nn::{cpu_features, Epilogue, KernelKind};
     pub use lte_serve::{
-        AdmissionState, Cohort, RoutedSession, ScenarioConfig, ScenarioReport, ScoringService,
+        AdmissionState, Cohort, ScenarioConfig, ScenarioReport, ScoringService,
         ScoringServiceBuilder, ServiceOutcome, SessionEngine, SessionOutcome, SessionRequest,
         SwapCell, ThroughputStats,
     };

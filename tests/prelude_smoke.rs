@@ -35,15 +35,10 @@ fn prelude_types_resolve(
     _cohort: Cohort,
     _scenario_config: ScenarioConfig,
     _scenario_report: ScenarioReport,
-    _meta_features: MetaFeatures,
-    _feature_delta: FeatureDelta,
     _registry: PipelineRegistry,
-    _router: Router,
-    _decision: RoutingDecision,
     _scorer: &dyn Scorer,
     _score_request: ScoreRequest,
     _builder: ScoringServiceBuilder,
-    _routed_session: RoutedSession,
     _epilogue: Epilogue<'_>,
     _kernel: KernelKind,
 ) {
@@ -86,13 +81,6 @@ fn prelude_smoke_tiny_workflow() {
     assert_eq!(dataset.table.n_rows(), 200);
     let row = dataset.table.row(0).expect("row 0");
     assert!(row.len() >= 4);
-
-    // The routing surface without training: a meta-feature vector routes
-    // against itself at distance zero with an all-zero delta breakdown.
-    let features =
-        MetaFeatures::from_values(&[0.3, 0.8, 1.5, 0.0, 0.4, 2.0]).expect("six features");
-    assert_eq!(features.distance(&features), 0.0);
-    assert!(features.deltas(&features).iter().all(|d| d.delta == 0.0));
 }
 
 #[test]
