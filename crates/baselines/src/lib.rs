@@ -1,7 +1,5 @@
 //! Explore-by-example baselines the paper compares LTE against (§VIII-A).
 //!
-//! * **AIDE** (Dimitriadou et al., SIGMOD 2014): decision-tree-steered
-//!   exploration — Table I's first row, the lineage's origin.
 //! * **AL-SVM** (Dimitriadou et al., TKDE 2016 / AIDE lineage): an SVM
 //!   classifier over the user-interest space trained with *active learning*
 //!   — each round the most uncertain tuple (smallest |decision value|) is
@@ -21,16 +19,12 @@
 //! explorers see.
 
 pub mod active;
-pub mod aide;
 pub mod alsvm;
 pub mod dsm;
 pub mod kernel;
 pub mod svm;
-pub mod tree;
 
-pub use aide::AideExplorer;
 pub use alsvm::AlSvmExplorer;
 pub use dsm::DsmExplorer;
 pub use kernel::Kernel;
 pub use svm::{Svm, SvmConfig};
-pub use tree::{DecisionTree, TreeConfig};

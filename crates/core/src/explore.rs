@@ -18,7 +18,7 @@ use crate::oracle::SubspaceOracle;
 use crate::refine::build_subregions;
 use crate::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
-use rand::RngExt;
+use rand::Rng;
 use std::time::Instant;
 
 /// Which LTE variant to run (§VIII-A).
@@ -98,26 +98,8 @@ pub fn prepare_round(
     seed: u64,
 ) -> PreparedRound {
     let mut rng = seeded(seed);
-
-    // (1, 2) Initial tuples and user labels. The Cs centers come first —
-    // their labels define the UIS feature vector — then Δ random tuples.
-    let cs_labels: Vec<bool> = ctx.cs().iter().map(|c| oracle.label(c)).collect();
-    let mut examples: Vec<Example> = ctx
-        .cs()
-        .iter()
-        .zip(&cs_labels)
-        .map(|(row, &y)| (ctx.encode(row), y))
-        .collect();
-    let sample = ctx.sample_rows();
-    for _ in 0..cfg.task.delta {
-        let row = &sample[rng.random_range(0..sample.len())];
-        examples.push((ctx.encode(row), oracle.label(row)));
-    }
+    let (cs_labels, examples, v_r) = initial_support(ctx, oracle, cfg, &mut rng);
     let labels_used = examples.len();
-
-    // (3) UIS feature vector from the Cs labels.
-    let l = expansion_degree(ctx.cu().len(), cfg.net.expansion_frac);
-    let v_r = uis_feature_vector(&cs_labels, ctx.ps(), l);
 
     // (4) Adapt / train. Online label sets are imbalanced when the
     // interest region is small, so positive examples are re-weighted
@@ -165,6 +147,33 @@ pub fn prepare_round(
         labels_used,
         prep_seconds,
     }
+}
+
+/// Steps (1)–(3) of a round, the §V-D support construction: the `Cs`
+/// centers with their user labels (which define the UIS feature vector),
+/// then `Δ` tuples drawn from the context's sample with `rng`, and `vR`
+/// built from the `Cs` labels. Returns `(cs_labels, examples, v_r)`.
+pub(crate) fn initial_support<R: Rng + ?Sized>(
+    ctx: &SubspaceContext,
+    oracle: &dyn SubspaceOracle,
+    cfg: &LteConfig,
+    rng: &mut R,
+) -> (Vec<bool>, Vec<Example>, Vec<f64>) {
+    let cs_labels: Vec<bool> = ctx.cs().iter().map(|c| oracle.label(c)).collect();
+    let mut examples: Vec<Example> = ctx
+        .cs()
+        .iter()
+        .zip(&cs_labels)
+        .map(|(row, &y)| (ctx.encode(row), y))
+        .collect();
+    let sample = ctx.sample_rows();
+    for _ in 0..cfg.task.delta {
+        let row = &sample[rng.random_range(0..sample.len())];
+        examples.push((ctx.encode(row), oracle.label(row)));
+    }
+    let l = expansion_degree(ctx.cu().len(), cfg.net.expansion_frac);
+    let v_r = uis_feature_vector(&cs_labels, ctx.ps(), l);
+    (cs_labels, examples, v_r)
 }
 
 /// Step (6) of one round: turn pool logits into predictions and apply

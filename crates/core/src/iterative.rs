@@ -16,11 +16,13 @@
 use crate::classifier::{Example, UisClassifier};
 use crate::config::LteConfig;
 use crate::context::SubspaceContext;
-use crate::feature::{expansion_degree, uis_feature_vector};
+use crate::explore::initial_support;
 use crate::meta_learner::MetaLearner;
 use crate::oracle::SubspaceOracle;
+use crate::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::{derive_seed, seeded};
 use rand::Rng;
+use std::cmp::Ordering;
 
 /// Outcome of an iterative exploration session.
 #[derive(Debug, Clone)]
@@ -68,26 +70,15 @@ pub fn explore_iteratively(
     iter_cfg: &IterativeConfig,
     seed: u64,
 ) -> IterativeOutcome {
-    let mut rng = seeded(seed);
-
-    // Initial exploration: exactly the §V-D support construction.
-    let cs_labels: Vec<bool> = ctx.cs().iter().map(|c| oracle.label(c)).collect();
-    let mut examples: Vec<Example> = ctx
-        .cs()
-        .iter()
-        .zip(&cs_labels)
-        .map(|(row, &y)| (ctx.encode(row), y))
-        .collect();
-    let sample = ctx.sample_rows();
-    for _ in 0..cfg.task.delta {
-        let row = &sample[rng.random_range(0..sample.len())];
-        examples.push((ctx.encode(row), oracle.label(row)));
-    }
-    let l = expansion_degree(ctx.cu().len(), cfg.net.expansion_frac);
-    let v_r = uis_feature_vector(&cs_labels, ctx.ps(), l);
+    // Initial exploration: the support set `prepare_round` builds, from
+    // the same seed.
+    let (cs_labels, mut examples, v_r) = initial_support(ctx, oracle, cfg, &mut seeded(seed));
 
     let encoded_pool: Vec<Vec<f64>> = pool.iter().map(|r| ctx.encode(r)).collect();
     let mut labeled_pool: Vec<bool> = vec![false; pool.len()];
+    let score = |classifier: &UisClassifier, rows: &[Vec<f64>]| {
+        classifier.score(&ScoreRequest::new(&v_r, rows, cfg.online.precision))
+    };
 
     let adapt = |examples: &[Example]| -> UisClassifier {
         let w = UisClassifier::balance_weight(examples);
@@ -127,11 +118,17 @@ pub fn explore_iteratively(
             &labeled_pool,
             iter_cfg.candidates_per_round,
         );
-        let Some(&next) = candidates.iter().min_by(|&&a, &&b| {
-            let ua = classifier.logit(&v_r, &encoded_pool[a]).abs();
-            let ub = classifier.logit(&v_r, &encoded_pool[b]).abs();
-            ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-        }) else {
+        let rows: Vec<Vec<f64>> = candidates
+            .iter()
+            .map(|&i| encoded_pool[i].clone())
+            .collect();
+        let logits = score(&classifier, &rows);
+        // The least |logit|; `min_by` keeps the first candidate on a tie.
+        let Some((&next, _)) = candidates
+            .iter()
+            .zip(&logits)
+            .min_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap_or(Ordering::Equal))
+        else {
             break;
         };
 
@@ -145,9 +142,9 @@ pub fn explore_iteratively(
         rounds += 1;
     }
 
-    let predictions = encoded_pool
-        .iter()
-        .map(|x| classifier.logit(&v_r, x) > 0.0)
+    let predictions = score(&classifier, &encoded_pool)
+        .into_iter()
+        .map(|logit| logit > 0.0)
         .collect();
     IterativeOutcome {
         predictions,
@@ -177,6 +174,7 @@ fn sample_candidates<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::config::LteConfig;
+    use crate::feature::expansion_degree;
     use crate::meta_task::generate_task_set;
     use crate::metrics::ConfusionMatrix;
     use crate::oracle::RegionOracle;

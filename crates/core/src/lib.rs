@@ -51,7 +51,6 @@ pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod refine;
-pub mod routing;
 pub mod scenario;
 pub mod scorer;
 pub mod uis;
@@ -67,7 +66,6 @@ pub use oracle::{
     BehaviorOracle, Cadence, ConjunctiveOracle, NoisyOracle, RegionOracle, SubspaceOracle,
 };
 pub use pipeline::LtePipeline;
-pub use routing::PipelineRegistry;
 pub use scenario::{BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger};
 pub use scorer::{FusedRequest, ScoreRequest, Scorer};
 pub use uis::UisMode;

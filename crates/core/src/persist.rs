@@ -20,7 +20,6 @@ use crate::context::SubspaceContext;
 use crate::memory::Memories;
 use crate::meta_learner::MetaLearner;
 use crate::pipeline::LtePipeline;
-use crate::routing::PipelineRegistry;
 use crate::uis::UisMode;
 use lte_data::schema::Attribute;
 use lte_data::subspace::Subspace;
@@ -29,7 +28,6 @@ use lte_preprocess::gmm::{Component, Gmm};
 use lte_preprocess::{AttributeEncoder, EncoderConfig, EncoderKind, JenksBreaks, TableEncoder};
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"LTEP";
 
@@ -628,79 +626,6 @@ pub fn load_pipeline(path: &Path) -> Result<LtePipeline, PersistError> {
     pipeline_from_bytes(&data)
 }
 
-// --------------------------------------------------------------- registry
-
-const REGISTRY_MAGIC: &[u8; 4] = b"LTER";
-
-/// The one LTER format version this build writes and reads. Version 1
-/// (entries tagged with meta-feature centroids) is refused with
-/// [`PersistError::UnsupportedVersion`].
-const REGISTRY_VERSION: u8 = 2;
-
-/// Serialize a [`PipelineRegistry`]: an `LTER` container holding, per
-/// entry, the name and the pipeline as an embedded length-prefixed LTEP
-/// payload (same codec as [`pipeline_to_bytes`], so registries inherit
-/// LTEP's versioning).
-pub fn registry_to_bytes(registry: &PipelineRegistry) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.buf.extend_from_slice(REGISTRY_MAGIC);
-    e.u8(REGISTRY_VERSION);
-    e.usize(registry.len());
-    for entry in registry.entries() {
-        e.str(entry.name());
-        let payload = pipeline_to_bytes(entry.pipeline());
-        e.usize(payload.len());
-        e.buf.extend_from_slice(&payload);
-    }
-    e.buf
-}
-
-/// Deserialize a [`PipelineRegistry`] written by [`registry_to_bytes`],
-/// in entry order. The container is framed in full before any pipeline
-/// is decoded, and an entry whose name or decomposition repeats an
-/// earlier one is [`PersistError::Corrupt`].
-pub fn registry_from_bytes(data: &[u8]) -> Result<PipelineRegistry, PersistError> {
-    let mut d = Dec::new(data);
-    if d.take(4)? != REGISTRY_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = d.u8()?;
-    if version != REGISTRY_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    // A name length and a payload length: 16 bytes per entry.
-    let n_entries = d.len(1 << 10, 16, "too many registry entries")?;
-    let mut framed = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let name = d.str()?;
-        let payload_len = d.usize()?;
-        framed.push((name, d.take(payload_len)?));
-    }
-    if d.pos != data.len() {
-        return Err(PersistError::Corrupt("trailing bytes"));
-    }
-    let mut registry = PipelineRegistry::new();
-    for (name, payload) in framed {
-        let pipeline = pipeline_from_bytes(payload)?;
-        if let Some(clash) = registry.clash(&name, pipeline.subspaces()) {
-            return Err(PersistError::Corrupt(clash));
-        }
-        registry.register(&name, Arc::new(pipeline));
-    }
-    Ok(registry)
-}
-
-/// Save a pipeline registry to a file.
-pub fn save_registry(registry: &PipelineRegistry, path: &Path) -> Result<(), PersistError> {
-    fs::write(path, registry_to_bytes(registry)).map_err(|e| PersistError::Io(e.to_string()))
-}
-
-/// Load a pipeline registry from a file.
-pub fn load_registry(path: &Path) -> Result<PipelineRegistry, PersistError> {
-    let data = fs::read(path).map_err(|e| PersistError::Io(e.to_string()))?;
-    registry_from_bytes(&data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1022,151 +947,30 @@ mod tests {
         );
     }
 
-    /// LTER bytes framing `entries` as given, valid or not.
-    fn lter(entries: &[(&str, &[u8])]) -> Vec<u8> {
-        let mut e = Enc::default();
-        e.buf.extend_from_slice(REGISTRY_MAGIC);
-        e.u8(REGISTRY_VERSION);
-        e.usize(entries.len());
-        for (name, payload) in entries {
-            e.str(name);
-            e.usize(payload.len());
-            e.buf.extend_from_slice(payload);
+    /// Loading stores every field as read, so a reloaded pipeline
+    /// re-encodes to the bytes it was loaded from.
+    #[test]
+    fn save_load_save_is_byte_stable() {
+        for dim in [1, 2] {
+            let bytes = pipeline_to_bytes(&small_pipeline(dim));
+            let loaded = pipeline_from_bytes(&bytes).expect("round trip");
+            let again = pipeline_to_bytes(&loaded);
+            let first_diff = bytes.iter().zip(&again).position(|(a, b)| a != b);
+            assert_eq!(first_diff, None, "{dim}-D: re-encoding differs");
+            assert_eq!(again.len(), bytes.len(), "{dim}-D: re-encoded length");
         }
-        e.buf
     }
 
-    /// LTEP bytes of two small pipelines, over 2-D and over 1-D subspaces.
-    fn two_payloads() -> (Vec<u8>, Vec<u8>) {
-        (
-            pipeline_to_bytes(&small_pipeline(2)),
-            pipeline_to_bytes(&small_pipeline(1)),
-        )
-    }
-
+    /// A length past the end fails typed, even one so large that `pos + n`
+    /// would overflow once a byte has been read.
     #[test]
-    fn registry_round_trip_preserves_entries_and_routing() {
-        let (p, pool) = trained_pipeline();
-        let truth = p.generate_truth(UisMode::new(4, 8), 11, 0.2, 0.9);
-        let mut reg = PipelineRegistry::new();
-        reg.register("fine", Arc::new(small_pipeline(1)));
-        reg.register("wide", Arc::new(p));
-
-        let bytes = registry_to_bytes(&reg);
-        let payload = |i: usize| pipeline_to_bytes(reg.get(i).pipeline());
-        assert!(
-            bytes == lter(&[("fine", &payload(0)), ("wide", &payload(1))]),
-            "v2 is a name and an LTEP payload per entry"
-        );
-        let loaded = registry_from_bytes(&bytes).expect("registry round trip");
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get(0).name(), "fine");
-        assert_eq!(loaded.get(1).name(), "wide");
-
-        // Routing through the loaded registry picks the same entry.
-        assert_eq!(reg.route(&truth), Some(1));
-        assert_eq!(loaded.route(&truth), Some(1));
-
-        // And exploration through its pipeline is identical.
-        let x = reg
-            .get(1)
-            .pipeline()
-            .explore(&truth, &pool, Variant::Meta, 4);
-        let y = loaded
-            .get(1)
-            .pipeline()
-            .explore(&truth, &pool, Variant::Meta, 4);
-        assert_eq!(x.confusion, y.confusion);
-    }
-
-    #[test]
-    fn registry_rejects_garbage_and_truncation() {
-        assert_eq!(
-            registry_from_bytes(b"nope").unwrap_err(),
-            PersistError::BadMagic
-        );
-        assert_eq!(
-            registry_from_bytes(b"LTER\x07").unwrap_err(),
-            PersistError::UnsupportedVersion(7)
-        );
-        let mut reg = PipelineRegistry::new();
-        reg.register("x", Arc::new(small_pipeline(2)));
-        let bytes = registry_to_bytes(&reg);
-        for cut in [5usize, 20, bytes.len() / 2, bytes.len() - 1] {
-            let err = registry_from_bytes(&bytes[..cut]).unwrap_err();
-            assert!(matches!(err, PersistError::Corrupt(_)), "cut {cut}: {err}");
-        }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert_eq!(
-            registry_from_bytes(&padded).unwrap_err(),
-            PersistError::Corrupt("trailing bytes")
-        );
-        // An empty registry round-trips too.
-        let empty = registry_to_bytes(&PipelineRegistry::new());
-        assert_eq!(registry_from_bytes(&empty).unwrap().len(), 0);
-    }
-
-    /// A version-1 file is refused rather than read with the version-2
-    /// layout.
-    #[test]
-    fn registry_v1_is_refused_as_unsupported_version() {
-        let (wide, fine) = two_payloads();
-        let mut bytes = lter(&[("wide", &wide), ("fine", &fine)]);
-        assert_eq!(registry_from_bytes(&bytes).expect("v2 loads").len(), 2);
-        bytes[4] = 1;
-        assert_eq!(
-            registry_from_bytes(&bytes).unwrap_err(),
-            PersistError::UnsupportedVersion(1)
-        );
-    }
-
-    /// The container is framed before any payload is decoded, so every
-    /// prefix fails after a few reads.
-    #[test]
-    fn every_registry_prefix_is_an_error() {
-        let (wide, fine) = two_payloads();
-        let bytes = lter(&[("wide", &wide), ("fine", &fine)]);
-        for cut in 0..bytes.len() {
-            assert!(
-                registry_from_bytes(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes"
-            );
-        }
-        assert!(registry_from_bytes(&bytes).is_ok());
-    }
-
-    #[test]
-    fn repeated_registry_entries_are_corrupt() {
-        let (wide, fine) = two_payloads();
-        assert_eq!(
-            registry_from_bytes(&lter(&[("wide", &wide), ("wide", &fine)])).unwrap_err(),
-            PersistError::Corrupt("repeated registry entry name")
-        );
-        assert_eq!(
-            registry_from_bytes(&lter(&[("wide", &wide), ("again", &wide)])).unwrap_err(),
-            PersistError::Corrupt("repeated registry decomposition")
-        );
-    }
-
-    /// A payload length of `u64::MAX` once overflowed `pos + n` in
-    /// `Dec::take`: a panic in the test build, an out-of-order slice in
-    /// release.
-    #[test]
-    fn forged_payload_length_is_corrupt() {
-        let (wide, fine) = two_payloads();
-        let bytes = lter(&[("wide", &wide), ("fine", &fine)]);
-        // Magic, version and count, then each entry's name and length.
-        let first = 4 + 1 + 8 + 8 + "wide".len();
-        let second = first + 8 + wide.len() + 8 + "fine".len();
-        for (at, len) in [(first, wide.len()), (second, fine.len())] {
-            assert_eq!(bytes[at..at + 8], (len as u64).to_le_bytes());
-            let mut forged = bytes.clone();
-            forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            assert_eq!(
-                registry_from_bytes(&forged).unwrap_err(),
-                PersistError::Corrupt("unexpected end of data")
-            );
-        }
+    fn take_past_the_end_is_corrupt() {
+        let end = PersistError::Corrupt("unexpected end of data");
+        assert_eq!(Dec::new(&[0; 3]).take(usize::MAX).unwrap_err(), end);
+        let mut d = Dec::new(&[0; 3]);
+        assert_eq!(d.take(1), Ok(&[0u8][..]));
+        assert_eq!(d.take(usize::MAX).unwrap_err(), end);
+        assert_eq!(d.take(3).unwrap_err(), end);
+        assert_eq!(d.take(2), Ok(&[0u8, 0][..]));
     }
 }

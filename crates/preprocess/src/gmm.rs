@@ -168,20 +168,14 @@ impl Gmm {
     }
 
     /// Reconstruct a mixture from previously fitted components (model
-    /// persistence). Weights are re-normalized; stds floored.
+    /// persistence). Weights are stored as given, so a reloaded mixture
+    /// re-encodes to the same bytes; stds are floored at `1e-12`.
     ///
     /// # Panics
     /// Panics when `components` is empty.
-    pub fn from_components(components: Vec<Component>) -> Self {
+    pub fn from_components(mut components: Vec<Component>) -> Self {
         assert!(!components.is_empty(), "GMM needs at least one component");
-        let mut components = components;
-        let wsum: f64 = components.iter().map(|c| c.weight).sum();
         for c in &mut components {
-            c.weight = if wsum > 0.0 {
-                c.weight / wsum
-            } else {
-                1.0 / 1.0f64.max(wsum)
-            };
             c.std = c.std.max(1e-12);
         }
         Self {

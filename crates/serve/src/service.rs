@@ -51,7 +51,6 @@ use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRou
 use lte_core::oracle::BehaviorOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, RoundTruth, UirOutcome, UirTally};
-use lte_core::routing::PipelineRegistry;
 use lte_core::scenario::BehaviorConfig;
 use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
@@ -77,19 +76,6 @@ struct ShardCache {
     epoch: u64,
     pipeline: Arc<LtePipeline>,
     pool: EncodedPool,
-}
-
-/// A family of shards over one [`PipelineRegistry`]: every entry of the
-/// registry became an internal shard at
-/// [`ScoringService::add_routed_shard`] time, and
-/// [`ScoringService::submit_routed`] sends each session to the entry over
-/// its truth's decomposition.
-#[derive(Debug)]
-struct RoutedGroup {
-    name: String,
-    registry: Arc<PipelineRegistry>,
-    /// Internal shard index for each registry entry, in entry order.
-    shards: Vec<usize>,
 }
 
 /// One session from submission to completion: parked in the admission
@@ -287,24 +273,24 @@ impl ServiceStats {
 }
 
 /// Builds a [`ScoringService`] without constructor creep: worker count,
-/// admission capacity, plain shards, and routed shard groups all in one
-/// place.
+/// admission capacity and shards all in one place. A deployment over
+/// several decompositions registers one shard per pipeline.
 ///
 /// ```no_run
-/// use lte_core::{LtePipeline, PipelineRegistry};
+/// use lte_core::LtePipeline;
 /// use lte_serve::ScoringService;
 /// use std::sync::Arc;
 ///
 /// fn build_service(
-///     pipeline: Arc<LtePipeline>,
-///     registry: Arc<PipelineRegistry>,
+///     wide: Arc<LtePipeline>,
+///     fine: Arc<LtePipeline>,
 ///     rows: Vec<Vec<f64>>,
 /// ) -> ScoringService {
 ///     ScoringService::builder()
 ///         .workers(4)
 ///         .capacity(64)
-///         .shard("sdss", pipeline, rows.clone())
-///         .routed_shard("analyst", registry, rows)
+///         .shard("sdss/wide", wide, rows.clone())
+///         .shard("sdss/fine", fine, rows)
 ///         .build()
 /// }
 /// ```
@@ -313,7 +299,6 @@ pub struct ScoringServiceBuilder {
     workers: usize,
     capacity: usize,
     shards: Vec<(String, Arc<LtePipeline>, Vec<Vec<f64>>)>,
-    routed: Vec<(String, Arc<PipelineRegistry>, Vec<Vec<f64>>)>,
 }
 
 impl Default for ScoringServiceBuilder {
@@ -322,7 +307,6 @@ impl Default for ScoringServiceBuilder {
             workers: default_threads(),
             capacity: usize::MAX,
             shards: Vec::new(),
-            routed: Vec::new(),
         }
     }
 }
@@ -353,26 +337,12 @@ impl ScoringServiceBuilder {
         self
     }
 
-    /// Register a routed shard group (see
-    /// [`ScoringService::add_routed_shard`]).
-    pub fn routed_shard(
-        mut self,
-        name: &str,
-        registry: Arc<PipelineRegistry>,
-        eval_rows: Vec<Vec<f64>>,
-    ) -> Self {
-        self.routed.push((name.to_string(), registry, eval_rows));
-        self
-    }
-
-    /// Build the service. Shards keep registration order; routed groups
-    /// register after plain shards.
+    /// Build the service. Shards keep registration order.
     pub fn build(self) -> ScoringService {
         let mut service = ScoringService {
             workers: self.workers,
             admission: AdmissionQueue::bounded(self.capacity),
             shards: Vec::new(),
-            groups: Vec::new(),
             active: Vec::new(),
             completed: Vec::new(),
             tick: 0,
@@ -381,9 +351,6 @@ impl ScoringServiceBuilder {
         };
         for (name, pipeline, rows) in self.shards {
             service.add_shard(&name, pipeline, rows);
-        }
-        for (name, registry, rows) in self.routed {
-            service.add_routed_shard(&name, registry, rows);
         }
         service
     }
@@ -396,7 +363,6 @@ pub struct ScoringService {
     workers: usize,
     admission: AdmissionQueue<Session>,
     shards: Vec<Shard>,
-    groups: Vec<RoutedGroup>,
     active: Vec<Session>,
     completed: Vec<ServiceOutcome>,
     tick: u64,
@@ -406,7 +372,7 @@ pub struct ScoringService {
 
 impl ScoringService {
     /// Start building a service: [`ScoringServiceBuilder`] gathers worker
-    /// count, capacity, shards, and routed groups before construction.
+    /// count, capacity and shards before construction.
     pub fn builder() -> ScoringServiceBuilder {
         ScoringServiceBuilder::default()
     }
@@ -440,63 +406,9 @@ impl ScoringService {
         self.shards.len() - 1
     }
 
-    /// Register a routed shard group: every entry of `registry` becomes an
-    /// internal shard named `"{name}/{entry}"` (same retrieval pool, own
-    /// [`SwapCell`]), and [`ScoringService::submit_routed`] sends each
-    /// session to the entry over its truth's decomposition. Returns the
-    /// group index.
-    ///
-    /// Routing composes with everything the plain shards already do: the
-    /// entry's rounds are fused into the same per-tick scoring call as
-    /// every other session, its encoded pool is cached per epoch, and each
-    /// entry can still be hot-swapped through
-    /// [`ScoringService::swap_handle`] on its internal shard. The cell
-    /// refuses a pipeline over another decomposition, so the group's
-    /// routing stays valid across swaps.
-    ///
-    /// # Panics
-    /// Panics when the registry is empty or a name collides.
-    pub fn add_routed_shard(
-        &mut self,
-        name: &str,
-        registry: Arc<PipelineRegistry>,
-        eval_rows: Vec<Vec<f64>>,
-    ) -> usize {
-        assert!(
-            !registry.is_empty(),
-            "routed shard {name:?} needs a non-empty registry"
-        );
-        assert!(
-            self.group_index(name).is_none(),
-            "routed shard {name:?} already registered"
-        );
-        let shards: Vec<usize> = registry
-            .entries()
-            .iter()
-            .map(|entry| {
-                self.add_shard(
-                    &format!("{name}/{}", entry.name()),
-                    Arc::clone(entry.pipeline()),
-                    eval_rows.clone(),
-                )
-            })
-            .collect();
-        self.groups.push(RoutedGroup {
-            name: name.to_string(),
-            registry,
-            shards,
-        });
-        self.groups.len() - 1
-    }
-
     /// Look a shard up by name.
     pub fn shard_index(&self, name: &str) -> Option<usize> {
         self.shards.iter().position(|s| s.name == name)
-    }
-
-    /// Look a routed group up by name.
-    pub fn group_index(&self, name: &str) -> Option<usize> {
-        self.groups.iter().position(|g| g.name == name)
     }
 
     /// A shard's name.
@@ -544,29 +456,6 @@ impl ScoringService {
             .shard_index(shard)
             .unwrap_or_else(|| panic!("unknown shard {shard:?}"));
         self.submit_to(shard, request, Some(behavior))
-    }
-
-    /// Submit a session to a routed group: it is parked, as
-    /// [`ScoringService::submit`] parks it, on the internal shard of the
-    /// registry entry over its truth's decomposition
-    /// ([`PipelineRegistry::route`]). The outcome's `shard` names that
-    /// entry, and the session runs bit-identical to the same request
-    /// submitted to the entry's pipeline unrouted.
-    ///
-    /// # Panics
-    /// Panics with `unknown routed shard` when the group name is unknown,
-    /// and with `no entry of routed shard {group:?} covers the session's
-    /// subspace decomposition` when [`PipelineRegistry::route`] returns
-    /// `None`.
-    pub fn submit_routed(&mut self, group: &str, request: SessionRequest) -> AdmissionState {
-        let g = self
-            .group_index(group)
-            .unwrap_or_else(|| panic!("unknown routed shard {group:?}"));
-        let g = &self.groups[g];
-        let entry = g.registry.route(&request.truth).unwrap_or_else(|| {
-            panic!("no entry of routed shard {group:?} covers the session's subspace decomposition")
-        });
-        self.submit_to(g.shards[entry], request, None)
     }
 
     fn submit_to(

@@ -21,22 +21,22 @@ use lte_core::uis::UisMode;
 use lte_data::generator::{generate_car, generate_sdss};
 use lte_data::subspace::{decompose_sequential, Subspace};
 use lte_data::table::Table;
-use lte_serve::{ScoringService, ServiceOutcome, SessionEngine};
+use lte_serve::{ScoringService, ServiceOutcome, SessionEngine, SessionRequest};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-fn train(table: &Table, seed: u64) -> Arc<LtePipeline> {
+fn train(table: &Table, subspaces: Vec<Subspace>, seed: u64) -> Arc<LtePipeline> {
     let mut cfg = LteConfig::reduced();
     cfg.train.n_tasks = 60;
     cfg.train.epochs = 1;
-    let (p, _) = LtePipeline::offline(table, decompose_sequential(4, 2), cfg, seed);
+    let (p, _) = LtePipeline::offline(table, subspaces, cfg, seed);
     Arc::new(p)
 }
 
 fn sdss_setup() -> (Arc<LtePipeline>, Vec<Vec<f64>>) {
     let table = generate_sdss(3000, 0);
     let pool: Vec<Vec<f64>> = (0..300).map(|i| table.row(i).unwrap()).collect();
-    (train(&table, 11), pool)
+    (train(&table, decompose_sequential(4, 2), 11), pool)
 }
 
 /// Everything deterministic in a `UirOutcome`, floats as raw bits, timing
@@ -341,50 +341,77 @@ fn admission_capacity_never_changes_outcomes() {
     }
 }
 
+/// Three shards in one service: SDSS and CAR over `{0,1} {2,3}`, and SDSS
+/// over each attribute alone, so the fused ticks mix 2-round and 4-round
+/// sessions. A deployment over several decompositions is exactly this: one
+/// plain shard per pipeline.
 #[test]
 fn sharded_service_matches_each_pipeline_solo() {
     let sdss_table = generate_sdss(3000, 0);
     let car_table = generate_car(3000, 1);
-    let sdss = train(&sdss_table, 11);
-    let car = train(&car_table, 13);
-    let sdss_pool: Vec<Vec<f64>> = (0..250).map(|i| sdss_table.row(i).unwrap()).collect();
-    let car_pool: Vec<Vec<f64>> = (0..250).map(|i| car_table.row(i).unwrap()).collect();
-
-    let sdss_engine = SessionEngine::with_workers(Arc::clone(&sdss), 1);
-    let car_engine = SessionEngine::with_workers(Arc::clone(&car), 1);
+    // (name, table, subspace width, training seed)
+    let shards = [
+        ("sdss", &sdss_table, 2, 11),
+        ("car", &car_table, 2, 13),
+        ("sdss-fine", &sdss_table, 1, 17),
+    ]
+    .map(|(name, table, dim, seed)| {
+        let pipeline = train(table, decompose_sequential(4, dim), seed);
+        (name, pipeline, table)
+    });
+    let pools: Vec<Vec<Vec<f64>>> = shards
+        .iter()
+        .map(|(_, _, table)| (0..250).map(|i| table.row(i).unwrap()).collect())
+        .collect();
     let mode = UisMode::new(1, 10);
-    let sdss_reqs = sdss_engine.simulate_requests(4, mode, 0.2, 0.9, Variant::Meta, 5);
-    let car_reqs = car_engine.simulate_requests(4, mode, 0.2, 0.9, Variant::Meta, 6);
+    let requests: Vec<Vec<SessionRequest>> = shards
+        .iter()
+        .zip(5..)
+        .map(|((_, pipeline, _), seed)| {
+            let engine = SessionEngine::with_workers(Arc::clone(pipeline), 1);
+            engine.simulate_requests(4, mode, 0.2, 0.9, Variant::Meta, seed)
+        })
+        .collect();
 
-    // One service, both datasets, submissions interleaved — each tick's
-    // fused call spans both shards.
-    let mut service = ScoringService::builder().workers(2).build();
-    service.add_shard("sdss", Arc::clone(&sdss), sdss_pool.clone());
-    service.add_shard("car", Arc::clone(&car), car_pool.clone());
-    for (s, c) in sdss_reqs.iter().zip(&car_reqs) {
-        service.submit("sdss", s.clone());
-        service.submit("car", c.clone());
-    }
-    let reports = service.run_until_idle();
-    // Both shards really were fused into one call: 8 requests per tick.
-    assert_eq!(reports[0].fused_requests, 8);
-    assert_eq!(reports[0].fused_rows, 8 * 250);
+    for workers in [1, 4] {
+        let mut service = ScoringService::builder().workers(workers).build();
+        for ((name, pipeline, _), pool) in shards.iter().zip(&pools) {
+            service.add_shard(name, Arc::clone(pipeline), pool.clone());
+        }
+        // Submissions interleaved across the shards.
+        for i in 0..4 {
+            for ((name, ..), reqs) in shards.iter().zip(&requests) {
+                service.submit(name, reqs[i].clone());
+            }
+        }
+        let reports = service.run_until_idle();
+        // Tick 0 fuses every request of all three shards into one call,
+        // wide enough to fan out over the workers.
+        assert_eq!(reports[0].fused_requests, 12);
+        assert_eq!(reports[0].fused_rows, 12 * 250);
+        assert!(reports[0].fused_rows >= PARALLEL_MIN_ROWS);
 
-    let done = service.take_completed();
-    assert_eq!(done.len(), 8);
-    for o in &done {
-        let (pipeline, pool, reqs, ids_base) = if service.shard_name(o.shard) == "sdss" {
-            (&sdss, &sdss_pool, &sdss_reqs, "sdss")
-        } else {
-            (&car, &car_pool, &car_reqs, "car")
+        let done = service.take_completed();
+        assert_eq!(done.len(), 12);
+        for o in &done {
+            let (name, pipeline, _) = &shards[o.shard];
+            let req = requests[o.shard].iter().find(|r| r.id == o.id).unwrap();
+            let solo = pipeline.explore(&req.truth, &pools[o.shard], req.variant, req.seed);
+            assert_eq!(
+                outcome_bytes(&solo),
+                outcome_bytes(&o.outcome),
+                "{workers} workers: {name} session {} diverged from its solo run",
+                o.id
+            );
+        }
+        // The 1-D shard's four rounds end two ticks after the others' two.
+        let completed = |shard: usize| -> Vec<u64> {
+            let done = done.iter().filter(|o| o.shard == shard);
+            done.map(|o| o.completed_tick).collect()
         };
-        let req = reqs.iter().find(|r| r.id == o.id).unwrap();
-        let solo = pipeline.explore(&req.truth, pool, req.variant, req.seed);
-        assert_eq!(
-            outcome_bytes(&solo),
-            outcome_bytes(&o.outcome),
-            "{ids_base} session {} diverged from its solo run",
-            o.id
-        );
+        let wide = completed(0)[0];
+        assert_eq!(completed(0), [wide; 4]);
+        assert_eq!(completed(1), [wide; 4]);
+        assert_eq!(completed(2), [wide + 2; 4]);
     }
 }

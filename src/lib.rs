@@ -57,9 +57,8 @@ pub mod prelude {
     pub use lte_core::oracle::{
         BehaviorOracle, Cadence, ConjunctiveOracle, RegionOracle, SubspaceOracle,
     };
-    pub use lte_core::persist::{load_pipeline, load_registry, save_pipeline, save_registry};
+    pub use lte_core::persist::{load_pipeline, save_pipeline};
     pub use lte_core::pipeline::{LtePipeline, UirOutcome};
-    pub use lte_core::routing::PipelineRegistry;
     pub use lte_core::scenario::{BehaviorConfig, BehavioralOutcome, DriftSpec, DriftTrigger};
     pub use lte_core::scorer::{ScoreRequest, Scorer};
     pub use lte_core::uis::UisMode;

@@ -35,7 +35,6 @@ fn prelude_types_resolve(
     _cohort: Cohort,
     _scenario_config: ScenarioConfig,
     _scenario_report: ScenarioReport,
-    _registry: PipelineRegistry,
     _scorer: &dyn Scorer,
     _score_request: ScoreRequest,
     _builder: ScoringServiceBuilder,
@@ -51,8 +50,6 @@ fn prelude_functions_are_wired() {
     let _ = write_csv;
     let _ = save_pipeline;
     let _ = load_pipeline;
-    let _ = save_registry;
-    let _ = load_registry;
     let _ = decompose_random::<rand::rngs::StdRng>;
     let subspaces = decompose_sequential(4, 2);
     assert_eq!(subspaces.len(), 2);
