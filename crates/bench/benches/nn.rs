@@ -1,6 +1,7 @@
 //! Micro-benchmark: the UIS classifier's forward/backward passes (§VI-A) at
-//! paper-scale widths (ku=100, Ne=100), pool scoring at serving scale
-//! across the precision ladder, and the raw matmul kernels under it.
+//! paper-scale widths (ku=100, Ne=100), the per-sample SGD step of local
+//! adaptation on each SIMD kernel, pool scoring at serving scale across
+//! the precision ladder, and the raw matmul kernels under it.
 //!
 //! For machine-readable numbers (the committed `BENCH_pool_scoring.json`
 //! snapshot), use `cargo run --release -p lte-bench --bin pool_scoring`
@@ -11,7 +12,7 @@ use lte_core::classifier::{ClassifierConfig, Grads, UisClassifier};
 use lte_core::config::ScoringPrecision;
 use lte_core::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
-use lte_nn::{Activation, Epilogue, Matrix, Matrix32};
+use lte_nn::{Activation, Epilogue, KernelKind, Matrix, Matrix32, Mlp, MlpCache, MlpStep};
 use std::hint::black_box;
 
 fn bench_nn(c: &mut Criterion) {
@@ -38,6 +39,63 @@ fn bench_nn(c: &mut Criterion) {
             grads.g_clf[0]
         });
     });
+}
+
+/// The per-sample SGD step of local adaptation (`lte_nn::step`) on every
+/// kernel, at the reduced classifier's block shapes: the UIS block 40→32
+/// with the θR tap, the tuple block 12→32, the conversion 64→32 and the
+/// classification block 32→32→1, the last two with their input gradients.
+/// Each iteration is one forward pass and one step on a layout built once,
+/// as `UisClassifier::train_epochs` runs them. Kernels the CPU lacks are
+/// skipped.
+fn bench_train_step(c: &mut Criterion) {
+    let relu = Activation::Relu;
+    let blocks: [(&str, &[usize], Activation, bool, bool); 4] = [
+        ("uis_40x32", &[40, 32], relu, false, true),
+        ("tuple_12x32", &[12, 32], relu, false, false),
+        (
+            "conversion_64x32",
+            &[64, 32],
+            Activation::Identity,
+            true,
+            false,
+        ),
+        (
+            "clf_32x32x1",
+            &[32, 32, 1],
+            Activation::Identity,
+            true,
+            false,
+        ),
+    ];
+    for kernel in [
+        KernelKind::Avx512f,
+        KernelKind::Avx2Fma,
+        KernelKind::Portable,
+    ] {
+        if !kernel.supported() {
+            println!("train_step/{kernel}: not supported on this CPU, skipped");
+            continue;
+        }
+        for (name, dims, out_act, input_grad, tap) in blocks {
+            let mut rng = seeded(5);
+            let mlp = Mlp::new(dims, relu, out_act, &mut rng);
+            let tap = tap.then(|| vec![0.0; mlp.param_count()]);
+            let mut step = MlpStep::new(&mlp, input_grad, tap.as_deref(), kernel);
+            let x: Vec<f64> = (0..dims[0]).map(|i| (i as f64 * 0.37).sin()).collect();
+            let grad_out: Vec<f64> = (0..mlp.out_dim()).map(|i| 0.5 - i as f64 * 0.1).collect();
+            let mut cache = MlpCache::default();
+            let mut dx = vec![0.0; dims[0]];
+            c.bench_function(&format!("train_step/{kernel}/{name}"), |b| {
+                b.iter(|| {
+                    step.forward_into(black_box(&x), &mut cache);
+                    let dx = input_grad.then_some(dx.as_mut_slice());
+                    step.step(&cache, black_box(&grad_out), 1e-9, dx);
+                    cache.output()[0]
+                });
+            });
+        }
+    }
 }
 
 /// Pool scoring at serving scale: 4096 tuples × 64 features through one
@@ -149,5 +207,11 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_nn, bench_pool_scoring, bench_matmul_kernels);
+criterion_group!(
+    benches,
+    bench_nn,
+    bench_train_step,
+    bench_pool_scoring,
+    bench_matmul_kernels
+);
 criterion_main!(benches);

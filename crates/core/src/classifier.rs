@@ -16,7 +16,10 @@
 
 use lte_nn::loss::bce_with_logits;
 use lte_nn::matrix::l1_block_rows_sized;
-use lte_nn::{Activation, Epilogue, Matrix, Matrix32, Mlp, MlpBatchCache, MlpCache};
+use lte_nn::{
+    Activation, Epilogue, KernelKind, Matrix, Matrix32, Mlp, MlpBatchCache, MlpCache, MlpStep,
+    StepLayer,
+};
 use rand::Rng;
 
 /// Architecture of the UIS classifier.
@@ -49,9 +52,9 @@ impl ClassifierConfig {
 /// One labeled training example: encoded tuple features plus label.
 pub type Example = (Vec<f64>, bool);
 
-/// Forward-pass cache for backprop. [`UisClassifier::train_step`] reuses
-/// its buffers, so one cache serves a whole training loop without
-/// allocating.
+/// Forward-pass cache for backprop. [`UisClassifier::forward`] and
+/// [`UisClassifier::train_step`] write an example's forward pass into it,
+/// reusing its buffers, so one cache serves a whole training loop.
 #[derive(Default)]
 pub struct ForwardCache {
     r_cache: MlpCache,
@@ -60,10 +63,6 @@ pub struct ForwardCache {
     /// `Mcp·concat` with conversion; unused without.
     converted: Vec<f64>,
     clf_cache: MlpCache,
-    /// [`UisClassifier::train_step`]'s backward scratch: the gradients of
-    /// the classification block's input and of the concatenation.
-    d_clf_in: Vec<f64>,
-    d_concat: Vec<f64>,
     /// The produced logit.
     pub logit: f64,
 }
@@ -489,9 +488,11 @@ impl UisClassifier {
     /// One per-sample SGD step on `example`, the step
     /// [`UisClassifier::train_local_weighted`] and
     /// [`MetaLearner::adapt_weighted`](crate::meta_learner::MetaLearner::adapt_weighted)
-    /// run: forward into `cache`, then backpropagate and apply `p -= lr·g`
-    /// to every block and to `Mcp` as each gradient is formed, with no
-    /// gradient buffer. Returns the example's loss before the update.
+    /// run: the classifier is laid out for the vector-width step
+    /// ([`lte_nn::step`]), the example's forward pass runs into `cache`,
+    /// then the backward pass applies `p -= lr·g` to every block and to
+    /// `Mcp` as each gradient is formed, and the parameters are written
+    /// back. Returns the example's loss before the update.
     ///
     /// For any finite `lr ≥ 0` the classifier ends **bit for bit** where
     /// [`UisClassifier::loss_backward_weighted`] into zeroed [`Grads`]
@@ -514,34 +515,9 @@ impl UisClassifier {
         cache: &mut ForwardCache,
         tap_r: Option<&mut [f64]>,
     ) -> f64 {
-        self.forward_into(v_r, &example.0, cache);
-        let (loss, dlogit) = weighted_bce(cache.logit, example.1, pos_weight);
-        let ForwardCache {
-            r_cache,
-            t_cache,
-            concat,
-            clf_cache,
-            d_clf_in,
-            d_concat,
-            ..
-        } = cache;
-        d_clf_in.resize(self.cfg.clf_input(), 0.0);
-        self.clf_block
-            .train_step(clf_cache, &[dlogit], lr, None, Some(d_clf_in));
-        let d_concat = match &mut self.conversion {
-            Some(mcp) => {
-                d_concat.clear();
-                d_concat.resize(concat.len(), 0.0);
-                step_conversion(mcp, d_clf_in, concat, lr, d_concat);
-                d_concat
-            }
-            None => d_clf_in,
-        };
-        let ne = self.cfg.ne;
-        self.r_block
-            .train_step(r_cache, &d_concat[..ne], lr, tap_r, None);
-        self.t_block
-            .train_step(t_cache, &d_concat[ne..], lr, None, None);
+        let mut layout = StepLayout::new(self, tap_r.as_deref());
+        let loss = layout.step(&self.cfg, v_r, example, lr, pos_weight, cache);
+        layout.write_back(self, tap_r);
         loss
     }
 
@@ -590,9 +566,12 @@ impl UisClassifier {
 
     /// The per-sample SGD loop behind [`UisClassifier::train_local_weighted`]
     /// and [`MetaLearner::adapt_weighted`](crate::meta_learner::MetaLearner::adapt_weighted):
-    /// `steps` passes of [`UisClassifier::train_step`] over `examples`, on
-    /// one reused cache. Returns the mean of each example's loss before its
-    /// update, over the last pass (0 when `steps == 0`).
+    /// `steps` passes of [`UisClassifier::train_step`] over `examples`. The
+    /// classifier (and the θR tap) is laid out once, every step runs on
+    /// that layout and one reused cache, and the parameters are written
+    /// back once at the end. Returns the mean of each example's loss
+    /// before its update, over the last pass (0 when `steps == 0` or there
+    /// are no examples).
     pub(crate) fn train_epochs(
         &mut self,
         v_r: &[f64],
@@ -600,17 +579,22 @@ impl UisClassifier {
         steps: usize,
         lr: f64,
         pos_weight: f64,
-        mut tap_r: Option<&mut [f64]>,
+        tap_r: Option<&mut [f64]>,
     ) -> f64 {
+        if steps == 0 || examples.is_empty() {
+            return 0.0;
+        }
+        let mut layout = StepLayout::new(self, tap_r.as_deref());
         let mut cache = ForwardCache::default();
         let mut last_avg = 0.0;
         for _ in 0..steps {
             let mut total = 0.0;
             for ex in examples {
-                total += self.train_step(v_r, ex, lr, pos_weight, &mut cache, tap_r.as_deref_mut());
+                total += layout.step(&self.cfg, v_r, ex, lr, pos_weight, &mut cache);
             }
-            last_avg = total / examples.len().max(1) as f64;
+            last_avg = total / examples.len() as f64;
         }
+        layout.write_back(self, tap_r);
         last_avg
     }
 
@@ -654,24 +638,92 @@ fn weighted_bce(logit: f64, label: bool, pos_weight: f64) -> (f64, f64) {
     (loss, dlogit)
 }
 
-/// The conversion's share of [`UisClassifier::train_step`]: `d_concat`
-/// (zeroed on entry) receives `Mcpᵀ·d` of the rows before their update,
-/// and each row with `d[r] != 0` then moves by the reference's
-/// `Mcp + (−lr)·(0.0 + d[r]·concat)` (`Matrix::add_outer` into a zeroed
-/// gradient, then `Matrix::add_scaled`). Rows with `d[r] == 0` are skipped
-/// by both.
-fn step_conversion(mcp: &mut Matrix, d: &[f64], concat: &[f64], lr: f64, d_concat: &mut [f64]) {
-    let neg_lr = -lr;
-    for (r, &dr) in d.iter().enumerate() {
-        if dr == 0.0 {
-            continue;
+/// A classifier laid out for the per-sample SGD step ([`lte_nn::step`]),
+/// built once per adaptation: the three blocks as [`MlpStep`]s, with the
+/// θR tap on the UIS block, and `Mcp` as a bias-free identity
+/// [`StepLayer`] (`Mcp + (−lr)·g`, the reference's update, equals
+/// `Mcp − lr·g` bit for bit). The classification block and `Mcp` keep
+/// their row-major copies for their input gradients.
+struct StepLayout {
+    r: MlpStep,
+    t: MlpStep,
+    conversion: Option<StepLayer>,
+    clf: MlpStep,
+    /// Backward scratch: the gradients of the classification block's
+    /// input and of the concatenation.
+    d_clf_in: Vec<f64>,
+    d_concat: Vec<f64>,
+}
+
+impl StepLayout {
+    fn new(c: &UisClassifier, tap_r: Option<&[f64]>) -> Self {
+        let kernel = KernelKind::detect();
+        Self {
+            r: MlpStep::new(&c.r_block, false, tap_r, kernel),
+            t: MlpStep::new(&c.t_block, false, None, kernel),
+            conversion: c
+                .conversion
+                .as_ref()
+                .map(|mcp| StepLayer::new(mcp, None, true, kernel)),
+            clf: MlpStep::new(&c.clf_block, true, None, kernel),
+            d_clf_in: vec![0.0; c.cfg.clf_input()],
+            d_concat: vec![0.0; 2 * c.cfg.ne],
         }
-        let row = mcp.row_mut(r);
-        for (acc, &m) in d_concat.iter_mut().zip(row.iter()) {
-            *acc += dr * m;
-        }
-        for (m, &c) in row.iter_mut().zip(concat) {
-            *m += neg_lr * (0.0 + dr * c);
+    }
+
+    /// [`UisClassifier::train_step`] on the layout: the forward pass into
+    /// `cache`, as [`UisClassifier::forward`] computes it, then the
+    /// backward pass and updates from the head down. Returns the loss.
+    fn step(
+        &mut self,
+        cfg: &ClassifierConfig,
+        v_r: &[f64],
+        example: &Example,
+        lr: f64,
+        pos_weight: f64,
+        cache: &mut ForwardCache,
+    ) -> f64 {
+        assert_eq!(v_r.len(), cfg.ku, "vR width mismatch");
+        assert_eq!(example.0.len(), cfg.nr, "vτ width mismatch");
+        self.r.forward_into(v_r, &mut cache.r_cache);
+        self.t.forward_into(&example.0, &mut cache.t_cache);
+        cache.concat.clear();
+        cache.concat.extend_from_slice(cache.r_cache.output());
+        cache.concat.extend_from_slice(cache.t_cache.output());
+        let clf_in = match &self.conversion {
+            Some(mcp) => {
+                cache.converted.resize(mcp.out_dim(), 0.0);
+                mcp.forward(&cache.concat, &mut cache.converted);
+                &cache.converted
+            }
+            None => &cache.concat,
+        };
+        self.clf.forward_into(clf_in, &mut cache.clf_cache);
+        cache.logit = cache.clf_cache.output()[0];
+
+        let (loss, dlogit) = weighted_bce(cache.logit, example.1, pos_weight);
+        self.clf
+            .step(&cache.clf_cache, &[dlogit], lr, Some(&mut self.d_clf_in));
+        let d_concat = match &mut self.conversion {
+            Some(mcp) => {
+                mcp.step(&cache.concat, &self.d_clf_in, lr, Some(&mut self.d_concat));
+                &self.d_concat
+            }
+            None => &self.d_clf_in,
+        };
+        let ne = cfg.ne;
+        self.r.step(&cache.r_cache, &d_concat[..ne], lr, None);
+        self.t.step(&cache.t_cache, &d_concat[ne..], lr, None);
+        loss
+    }
+
+    /// Copy the parameters back into `c`, and the θR tap into `tap_r`.
+    fn write_back(&self, c: &mut UisClassifier, tap_r: Option<&mut [f64]>) {
+        self.r.write_back(&mut c.r_block, tap_r);
+        self.t.write_back(&mut c.t_block, None);
+        self.clf.write_back(&mut c.clf_block, None);
+        if let (Some(layer), Some(mcp)) = (&self.conversion, &mut c.conversion) {
+            layer.write_back(mcp, None);
         }
     }
 }

@@ -123,7 +123,7 @@ proptest! {
     /// above, over both labels.
     #[test]
     fn train_step_matches_loss_backward_then_sgd_step_bitwise(
-        shape in (1usize..10, 1usize..10, 1usize..9, 1usize..9),
+        shape in (1usize..41, 1usize..17, 1usize..34, 1usize..34),
         use_conversion in proptest::bool::ANY,
         weighted in proptest::bool::ANY,
         seed in 0u64..100_000,
@@ -162,7 +162,7 @@ proptest! {
     /// local steps.
     #[test]
     fn adapt_weighted_matches_the_reference_loop_bitwise(
-        shape in (2usize..12, 2usize..10, 2usize..9),
+        shape in (2usize..41, 2usize..17, 2usize..34),
         use_memories in proptest::bool::ANY,
         steps in 0usize..3,
         n_support in 0usize..12,

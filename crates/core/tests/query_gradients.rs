@@ -67,7 +67,7 @@ proptest! {
     /// layer.
     #[test]
     fn query_gradients_match_per_example_loss_backward_bitwise(
-        shape in (1usize..10, 1usize..10, 1usize..9, 1usize..9),
+        shape in (1usize..41, 1usize..17, 1usize..34, 1usize..34),
         use_conversion in proptest::bool::ANY,
         n_idx in 0usize..5,
         dead in 0usize..3,

@@ -54,8 +54,31 @@ impl Activation {
 
     /// Apply in place over a slice.
     pub fn apply_slice(self, xs: &mut [f64]) {
-        for x in xs {
-            *x = self.apply(*x);
+        // One loop per activation, so the ReLU and identity loops
+        // vectorize.
+        match self {
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Identity => {}
+            _ => xs.iter_mut().for_each(|x| *x = self.apply(*x)),
+        }
+    }
+
+    /// Backpropagate through the activation in place: `d[i] *=
+    /// derivative(z[i])`, turning `dL/da` into `dL/dz` for the
+    /// pre-activations `z`.
+    pub fn mul_derivative(self, d: &mut [f64], z: &[f64]) {
+        debug_assert_eq!(d.len(), z.len());
+        match self {
+            Activation::Relu => {
+                for (d, &z) in d.iter_mut().zip(z) {
+                    *d *= if z > 0.0 { 1.0 } else { 0.0 };
+                }
+            }
+            _ => {
+                for (d, &z) in d.iter_mut().zip(z) {
+                    *d *= self.derivative(z);
+                }
+            }
         }
     }
 

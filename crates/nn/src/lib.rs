@@ -10,7 +10,8 @@
 //! * exact gradients through fixed dense architectures ([`Mlp::backward`]),
 //!   the same gradients summed over a batch in one pass of kernel products
 //!   ([`Mlp::backward_batch`]), and a per-sample SGD step that applies each
-//!   gradient as it is formed ([`Mlp::train_step`]),
+//!   gradient as it is formed, at vector width on weights laid out once
+//!   per adaptation ([`MlpStep`], [`Mlp::train_step`]),
 //! * parameters as *flat vectors* that can be copied, blended, and updated
 //!   arithmetically — the `θ ⇐ φ − σ·ωR` initialization (Eq. 6), local SGD
 //!   (Eq. 12) and one-step global updates (Eq. 13) are all flat-vector
@@ -30,9 +31,11 @@ pub mod loss;
 pub mod matrix;
 pub mod matrix32;
 pub mod mlp;
+pub mod step;
 
 pub use activation::Activation;
 pub use dense::Dense;
 pub use matrix::Matrix;
 pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
 pub use mlp::{Mlp, Mlp32, MlpBatchCache, MlpCache};
+pub use step::{MlpStep, StepLayer};

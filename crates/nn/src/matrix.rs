@@ -289,36 +289,50 @@ impl Matrix {
     /// `C[i][j] = Σₖ A[k][i]·B[k][j]`: [`Matrix::matmul_nt`] of the two
     /// transposes, so each output is summed from `+0.0` in `k` order with
     /// a multiply then an add. With one example per row, this is a layer's
-    /// batch-summed weight gradient `dZᵀ·X`.
+    /// batch-summed weight gradient `dZᵀ·X`. `B` is packed into the
+    /// kernel's column panels straight from its rows; only `A` is
+    /// transposed.
     ///
     /// # Panics
     /// Panics when the row counts disagree.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        self.matmul_tn_with(other, KernelKind::detect())
+    }
+
+    /// [`Matrix::matmul_tn`] on `kernel`.
+    fn matmul_tn_with(&self, other: &Matrix, kernel: KernelKind) -> Matrix {
         assert_eq!(self.rows, other.rows, "matmul_tn inner dimension mismatch");
-        self.transpose().matmul_nt(&other.transpose())
+        self.transpose().matmul_nn_with(other, kernel)
     }
 
     /// `C = A·B` where `A` is `n × k` and `B` is `k × m`:
-    /// [`Matrix::matmul_nt`] against `Bᵀ`, with the same per-output order.
+    /// [`Matrix::matmul_nt`] against `Bᵀ`, with the same per-output order,
+    /// `B` packed into the kernel's column panels straight from its rows.
     /// With one example per row, this is a layer's input gradient `dZ·W`.
     ///
     /// # Panics
     /// Panics when `A.cols != B.rows`.
     pub fn matmul_nn(&self, other: &Matrix) -> Matrix {
+        self.matmul_nn_with(other, KernelKind::detect())
+    }
+
+    /// [`Matrix::matmul_nn`] on `kernel`.
+    fn matmul_nn_with(&self, other: &Matrix, kernel: KernelKind) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul_nn inner dimension mismatch");
-        self.matmul_nt(&other.transpose())
+        self.matmul_packed(other.cols, kernel, false, |w| Packed::from_kn(other, w))
     }
 
     /// [`Matrix::matmul_nt`] with a fused [`Epilogue`]:
     /// `C[i][j] = act(⟨A.row(i), B.row(j)⟩ + bias[j])`, on the kernel
     /// [`KernelKind::detect`] picks.
     ///
-    /// Each SIMD kernel packs `Bᵀ` once per call into zero-padded column
-    /// panels, then sweeps register tiles of 4 rows of `A` against
-    /// L1-resident slabs of panels: 16 columns (two 8-lane vectors) on
-    /// AVX-512F, 8 columns (two 4-lane vectors) on AVX2. A ragged panel
-    /// narrower than one vector runs on a single vector, so the
-    /// classifier head (`m = 1`) stays on the same path. The bias add and a
+    /// Each kernel packs `Bᵀ` once per call into zero-padded column
+    /// panels, then sweeps register tiles of rows of `A` against
+    /// L1-resident slabs of panels: 4 rows × 16 columns (two 8-lane
+    /// vectors) on AVX-512F, 4 × 8 (two 4-lane vectors) on AVX2, 2 × 8
+    /// scalars on the portable kernel. A ragged panel narrower than one
+    /// vector runs on a single vector, so the classifier head (`m = 1`)
+    /// stays on the same path. The bias add and a
     /// ReLU/identity activation are applied in-register before each store;
     /// Sigmoid and Tanh run as a post-store pass. The result equals, bit
     /// for bit, `matvec` of each row followed by `+ bias` and
@@ -366,123 +380,113 @@ impl Matrix {
         if let Some(b) = ep.bias {
             assert_eq!(b.len(), other.rows, "epilogue bias width mismatch");
         }
-        let (n, m) = (self.rows, other.rows);
-        let mut out = Matrix::zeros(n, m);
-        if n == 0 || m == 0 {
-            return out;
-        }
         let (fused, post) = ep.split_post();
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `kernel.supported()` was asserted above, so the CPU
-            // has AVX-512F; shapes and the bias width were checked.
-            KernelKind::Avx512f => unsafe { avx512::matmul_nt(self, other, &mut out, fused) },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; `Avx2Fma` support implies AVX2.
-            KernelKind::Avx2Fma => unsafe { avx2::matmul_nt(self, other, &mut out, fused) },
-            _ => self.matmul_nt_portable(other, &mut out, fused),
-        }
+        let relu = matches!(fused.activation, Activation::Relu);
+        let mut out = self.matmul_packed(other.rows, kernel, relu, |w| {
+            Packed::from_rows(other, fused.bias, w)
+        });
         if let Some(act) = post {
             act.apply_slice(&mut out.data);
         }
         out
     }
 
-    /// The portable kernel behind [`Matrix::matmul_nt_ep`], for CPUs
-    /// without a SIMD kernel. `B`'s rows are processed in slabs sized to
-    /// stay L1-resident (see [`l1_block_rows`]) while every row of `A`
-    /// streams over the slab; two `A` rows per pass share every load of the
-    /// slab; and each pass keeps eight independent accumulator chains per
-    /// row, hiding the add latency that serializes a single running sum.
-    /// `out` must already be `n × m`; `ep.activation` must be ReLU or
-    /// identity (the dispatcher strips anything else into a post-pass).
-    fn matmul_nt_portable(&self, other: &Matrix, out: &mut Matrix, ep: Epilogue<'_, f64>) {
-        const COLS: usize = 8;
-        let (n, m, k) = (self.rows, other.rows, self.cols);
-        let slab = l1_block_rows(k, 8);
-        let mut j0 = 0;
-        while j0 < m {
-            let j1 = (j0 + slab).min(m);
-            // Two A rows per pass share every load of the B slab.
-            let mut i = 0;
-            while i + 2 <= n {
-                let (a0, a1) = {
-                    let rows = &self.data[i * k..(i + 2) * k];
-                    rows.split_at(k)
-                };
-                let (o0, o1) = {
-                    let rows = &mut out.data[i * m..(i + 2) * m];
-                    rows.split_at_mut(m)
-                };
-                let mut j = j0;
-                while j + COLS <= j1 {
-                    let cols: [&[f64]; COLS] =
-                        std::array::from_fn(|c| &other.data[(j + c) * k..(j + c + 1) * k]);
-                    let mut s0 = [0.0f64; COLS];
-                    let mut s1 = [0.0f64; COLS];
-                    for (kk, (&av0, &av1)) in a0.iter().zip(a1).enumerate() {
-                        for c in 0..COLS {
-                            let bv = cols[c][kk];
-                            s0[c] += av0 * bv;
-                            s1[c] += av1 * bv;
-                        }
-                    }
-                    store_cols_ep(o0, j, &s0, ep);
-                    store_cols_ep(o1, j, &s1, ep);
-                    j += COLS;
-                }
-                while j < j1 {
-                    let b = &other.data[j * k..(j + 1) * k];
-                    store_cols_ep(o0, j, &[dot(a0, b)], ep);
-                    store_cols_ep(o1, j, &[dot(a1, b)], ep);
-                    j += 1;
-                }
-                i += 2;
-            }
-            if i < n {
-                let a = &self.data[i * k..(i + 1) * k];
-                let orow = &mut out.data[i * m..(i + 1) * m];
-                let mut j = j0;
-                while j + COLS <= j1 {
-                    let cols: [&[f64]; COLS] =
-                        std::array::from_fn(|c| &other.data[(j + c) * k..(j + c + 1) * k]);
-                    let mut s = [0.0f64; COLS];
-                    for (kk, &av) in a.iter().enumerate() {
-                        for c in 0..COLS {
-                            s[c] += av * cols[c][kk];
-                        }
-                    }
-                    store_cols_ep(orow, j, &s, ep);
-                    j += COLS;
-                }
-                while j < j1 {
-                    store_cols_ep(orow, j, &[dot(a, &other.data[j * k..(j + 1) * k])], ep);
-                    j += 1;
-                }
-            }
-            j0 = j1;
+    /// `act(A·B + bias)` on `kernel`, where `pack(w)` packs the `k × m`
+    /// right operand `B` and the bias into panels of width `w`, and `act`
+    /// is ReLU when `relu`, else the identity. The shared back end of the
+    /// products; the caller checks the shapes and the kernel.
+    fn matmul_packed(
+        &self,
+        m: usize,
+        kernel: KernelKind,
+        relu: bool,
+        pack: impl FnOnce(usize) -> Packed,
+    ) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, m);
+        if self.rows == 0 || m == 0 {
+            return out;
+        }
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: every caller asserted `kernel.supported()`, so the
+            // CPU has AVX-512F; the panels are packed at the kernel's width.
+            KernelKind::Avx512f => unsafe {
+                avx512::matmul(self, &pack(avx512::COLS), relu, &mut out)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; `Avx2Fma` support implies AVX2.
+            KernelKind::Avx2Fma => unsafe { avx2::matmul(self, &pack(avx2::COLS), relu, &mut out) },
+            _ => matmul_portable(self, &pack(PORTABLE_COLS), relu, &mut out),
+        }
+        out
+    }
+}
+
+/// Columns per panel of the portable kernel.
+const PORTABLE_COLS: usize = 8;
+
+/// The portable kernel behind [`Matrix::matmul_nt_ep`], for CPUs without
+/// a SIMD kernel: the SIMD kernels' loop nest with eight scalar columns
+/// per panel, two `A` rows per pass sharing every load of the panel, and
+/// eight independent accumulator chains per row.
+fn matmul_portable(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
+    let n = a.rows;
+    let slab = Packed::slab(a.cols, PORTABLE_COLS);
+    for p0 in (0..packed.panels).step_by(slab) {
+        let panels = p0..(p0 + slab).min(packed.panels);
+        let mut i = 0;
+        while i + 2 <= n {
+            portable_rows::<2>(a, packed, relu, out, i, panels.clone());
+            i += 2;
+        }
+        if i < n {
+            portable_rows::<1>(a, packed, relu, out, i, panels);
         }
     }
 }
 
-/// The portable kernel's store: `orow[j + c] = act(vals[c] + bias[j + c])`,
-/// the epilogue of the SIMD kernels one value at a time.
-#[inline]
-fn store_cols_ep(orow: &mut [f64], j: usize, vals: &[f64], ep: Epilogue<'_, f64>) {
-    for (c, &v) in vals.iter().enumerate() {
-        let mut x = v;
-        if let Some(b) = ep.bias {
-            x += b[j + c];
+/// Rows `i..i + R` of [`matmul_portable`] against the panels `panels`.
+fn portable_rows<const R: usize>(
+    a: &Matrix,
+    packed: &Packed,
+    relu: bool,
+    out: &mut Matrix,
+    i: usize,
+    panels: std::ops::Range<usize>,
+) {
+    const W: usize = PORTABLE_COLS;
+    let (k, m) = (a.cols, out.cols);
+    for p in panels {
+        let panel = &packed.bt[p * k * W..(p + 1) * k * W];
+        let mut s = [[0.0f64; W]; R];
+        for (kk, step) in panel.chunks_exact(W).enumerate() {
+            for (r, s) in s.iter_mut().enumerate() {
+                let av = a.data[(i + r) * k + kk];
+                for (sc, &bv) in s.iter_mut().zip(step) {
+                    *sc += av * bv;
+                }
+            }
         }
-        orow[j + c] = ep.activation.apply(x);
+        let j = p * W;
+        let width = (m - j).min(W);
+        for (r, s) in s.iter().enumerate() {
+            let orow = &mut out.data[(i + r) * m + j..(i + r) * m + j + width];
+            for (c, (o, &v)) in orow.iter_mut().zip(s).enumerate() {
+                let x = match &packed.bias {
+                    Some(b) => v + b[j + c],
+                    None => v,
+                };
+                *o = if relu { x.max(0.0) } else { x };
+            }
+        }
     }
 }
 
-/// `B` (`m × k`) and the epilogue bias packed for the SIMD kernels, in
-/// `⌈m / w⌉` column panels of width `w`: panel `p` holds `B[p·w + c][kk]`
-/// at `bt[(p·k + kk)·w + c]`, so one aligned-width load reads `w`
-/// consecutive output columns. Both are zero-padded past `m`; the padded
-/// lanes are computed but never stored.
+/// The right operand of `A·Bᵀ` (`B` is `m × k`) and the epilogue bias
+/// packed for the kernels, in `⌈m / w⌉` column panels of width `w`: panel
+/// `p` holds `B[p·w + c][kk]` at `bt[(p·k + kk)·w + c]`, so one
+/// aligned-width load reads `w` consecutive output columns. Both are
+/// zero-padded past `m`; the padded lanes are computed but never stored.
 struct Packed {
     panels: usize,
     bt: Vec<f64>,
@@ -490,7 +494,8 @@ struct Packed {
 }
 
 impl Packed {
-    fn new(b: &Matrix, bias: Option<&[f64]>, w: usize) -> Self {
+    /// The panels of `B` (`m × k`, one output per row), and the bias.
+    fn from_rows(b: &Matrix, bias: Option<&[f64]>, w: usize) -> Self {
         let (m, k) = (b.rows, b.cols);
         let panels = m.div_ceil(w);
         let mut bt = vec![0.0; panels * k * w];
@@ -508,6 +513,26 @@ impl Packed {
         Self { panels, bt, bias }
     }
 
+    /// The panels of `Bᵀ` for `A·B` (`B` is `k × m`, one output per
+    /// column), straight from `B`'s rows: panel `p` at step `kk` is the
+    /// slice `B[kk][p·w .. p·w + w]`, zero-padded.
+    fn from_kn(b: &Matrix, w: usize) -> Self {
+        let (k, m) = (b.rows, b.cols);
+        let panels = m.div_ceil(w);
+        let mut bt = vec![0.0; panels * k * w];
+        for (kk, row) in b.data.chunks_exact(m.max(1)).enumerate() {
+            for (p, cols) in row.chunks(w).enumerate() {
+                let at = (p * k + kk) * w;
+                bt[at..at + cols.len()].copy_from_slice(cols);
+            }
+        }
+        Self {
+            panels,
+            bt,
+            bias: None,
+        }
+    }
+
     /// Panels per L1-resident slab: as many `k × w` panels as
     /// [`l1_block_rows`] allows rows of `B` (at least `w`, so one panel).
     fn slab(k: usize, w: usize) -> usize {
@@ -523,7 +548,7 @@ impl Packed {
 /// output's sum keeps the scalar order and rounding.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{Activation, Epilogue, Matrix, Packed};
+    use super::{Matrix, Packed};
     use std::arch::x86_64::*;
 
     /// Rows per register tile.
@@ -531,7 +556,7 @@ mod avx512 {
     /// `f64` lanes per vector.
     const LANES: usize = 8;
     /// Columns per panel: two vectors.
-    const COLS: usize = 2 * LANES;
+    pub(super) const COLS: usize = 2 * LANES;
 
     /// `act(x + bias)` on one vector. `_mm512_max_pd(x, 0)` returns its
     /// second operand when `x` is NaN or both are zero, so it equals
@@ -634,28 +659,27 @@ mod avx512 {
         }
     }
 
-    /// `out = act(A·Bᵀ + bias)`, bit-identical to the per-row reference.
-    /// `out` must already be `A.rows × B.rows`; shapes, the bias width and
-    /// the ReLU/identity-only epilogue are the caller's contract
-    /// ([`Matrix::matmul_nt_ep_with`] checks them).
+    /// `out = act(A·Bᵀ + bias)` from `B` and the bias packed at width
+    /// `COLS`, bit-identical to the per-row reference. `out` must already
+    /// be `A.rows × m` for the `m` columns packed; shapes and the bias
+    /// width are the caller's contract ([`Matrix::matmul_nt_ep_with`] and
+    /// [`Matrix::matmul_nn`] check them).
     ///
     /// # Safety
     /// The CPU must support AVX-512F (`is_x86_feature_detected!`).
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, ep: Epilogue<'_, f64>) {
+    pub unsafe fn matmul(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
         let n = a.rows;
-        let packed = Packed::new(b, ep.bias, COLS);
-        let relu = matches!(ep.activation, Activation::Relu);
         let slab = Packed::slab(a.cols, COLS);
         for p0 in (0..packed.panels).step_by(slab) {
             let panels = p0..(p0 + slab).min(packed.panels);
             let mut i = 0;
             while i + ROWS <= n {
-                rows::<ROWS>(a, &packed, relu, out, i, panels.clone());
+                rows::<ROWS>(a, packed, relu, out, i, panels.clone());
                 i += ROWS;
             }
             while i < n {
-                rows::<1>(a, &packed, relu, out, i, panels.clone());
+                rows::<1>(a, packed, relu, out, i, panels.clone());
                 i += 1;
             }
         }
@@ -669,7 +693,7 @@ mod avx512 {
 /// needs only AVX2 (dispatched as [`KernelKind::Avx2Fma`]).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{Activation, Epilogue, Matrix, Packed};
+    use super::{Matrix, Packed};
     use std::arch::x86_64::*;
 
     /// Rows per register tile.
@@ -677,7 +701,7 @@ mod avx2 {
     /// `f64` lanes per vector.
     const LANES: usize = 4;
     /// Columns per panel: two vectors.
-    const COLS: usize = 2 * LANES;
+    pub(super) const COLS: usize = 2 * LANES;
 
     /// `act(x + bias)` on one vector; `_mm256_max_pd(x, 0)` equals
     /// `f64::max(x, 0.0)` lane for lane, as in the AVX-512F kernel.
@@ -784,26 +808,25 @@ mod avx2 {
         }
     }
 
-    /// `out = act(A·Bᵀ + bias)`, bit-identical to the per-row reference;
-    /// the caller's contract is that of `avx512::matmul_nt`.
+    /// `out = act(A·Bᵀ + bias)` from `B` and the bias packed at width
+    /// `COLS`, bit-identical to the per-row reference; the caller's
+    /// contract is that of `avx512::matmul`.
     ///
     /// # Safety
     /// The CPU must support AVX2 (`is_x86_feature_detected!`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul_nt(a: &Matrix, b: &Matrix, out: &mut Matrix, ep: Epilogue<'_, f64>) {
+    pub unsafe fn matmul(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
         let n = a.rows;
-        let packed = Packed::new(b, ep.bias, COLS);
-        let relu = matches!(ep.activation, Activation::Relu);
         let slab = Packed::slab(a.cols, COLS);
         for p0 in (0..packed.panels).step_by(slab) {
             let panels = p0..(p0 + slab).min(packed.panels);
             let mut i = 0;
             while i + ROWS <= n {
-                rows::<ROWS>(a, &packed, relu, out, i, panels.clone());
+                rows::<ROWS>(a, packed, relu, out, i, panels.clone());
                 i += ROWS;
             }
             while i < n {
-                rows::<1>(a, &packed, relu, out, i, panels.clone());
+                rows::<1>(a, packed, relu, out, i, panels.clone());
                 i += 1;
             }
         }
@@ -1000,14 +1023,11 @@ mod tests {
         (a, b, bias)
     }
 
-    #[test]
-    fn matmul_nt_matches_per_row_matvec_bitwise() {
-        // The grid straddles the 4-row tiles, the 4-, 8- and 16-column
-        // vectors and panels, and an empty inner dimension; the extra
-        // shapes cross the L1 slab boundary (512 rows at small k) and the
-        // portable kernel's 2-row × 8-column blocks. Every output, the
-        // all-`-0.0` sums included, must equal `matvec`'s, which sums from
-        // `+0.0`; Sigmoid and Tanh run after the store.
+    /// The grid straddles the 4-row tiles, the 4-, 8- and 16-column
+    /// vectors and panels, and an empty inner dimension; the extra shapes
+    /// cross the L1 slab boundary (512 rows at small k) and the portable
+    /// kernel's 2-row × 8-column blocks.
+    fn special_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for n in [1, 3, 4, 5, 13] {
             for m in [1, 7, 8, 9, 15, 16, 17, 33] {
@@ -1017,6 +1037,15 @@ mod tests {
             }
         }
         shapes.extend([(8, 8, 8), (2, 513, 3), (5, 520, 9), (1, 16, 1000)]);
+        shapes
+    }
+
+    #[test]
+    fn matmul_nt_matches_per_row_matvec_bitwise() {
+        // Every output over `special_shapes`, the all-`-0.0` sums
+        // included, must equal `matvec`'s, which sums from `+0.0`; Sigmoid
+        // and Tanh run after the store.
+        let shapes = special_shapes();
         for kernel in kernels() {
             for &(n, m, k) in &shapes {
                 let (a, b, bias) = special_operands(n, m, k);
@@ -1048,6 +1077,34 @@ mod tests {
                             }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_tn_and_nn_match_transpose_then_matmul_nt_bitwise() {
+        // Both products pack `B` into panels straight from its rows; they
+        // must equal `matmul_nt` against the materialized transposes, bit
+        // for bit, on every kernel over `special_shapes`, with the special
+        // operands' zeros, infinities and NaN in either factor.
+        for kernel in kernels() {
+            for (n, m, k) in special_shapes() {
+                let (a, bt, _) = special_operands(n, m, k);
+                let (at, b) = (a.transpose(), bt.transpose());
+                let want: Vec<u64> = a
+                    .matmul_nt_ep_with(&bt, Epilogue::none(), kernel)
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                for (name, c) in [
+                    ("matmul_nn", a.matmul_nn_with(&b, kernel)),
+                    ("matmul_tn", at.matmul_tn_with(&b, kernel)),
+                ] {
+                    assert_eq!((c.rows(), c.cols()), (n, m), "{name} {kernel}");
+                    let got: Vec<u64> = c.data().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{name} {kernel} of {n}x{m}x{k}");
                 }
             }
         }

@@ -11,7 +11,8 @@
 use crate::activation::Activation;
 use crate::dense::Dense;
 use crate::matrix::Matrix;
-use crate::matrix32::{Epilogue, Matrix32};
+use crate::matrix32::{Epilogue, KernelKind, Matrix32};
+use crate::step::MlpStep;
 use rand::Rng;
 
 /// A sequential stack of dense layers with per-layer activations.
@@ -28,13 +29,9 @@ pub struct Mlp {
 pub struct MlpCache {
     /// `acts[0]` is the network input, `acts[i + 1]` the post-activation
     /// output of layer `i` (so `acts[i]` is the input to layer `i`).
-    acts: Vec<Vec<f64>>,
+    pub(crate) acts: Vec<Vec<f64>>,
     /// Pre-activation output of each layer.
-    pre_acts: Vec<Vec<f64>>,
-    /// [`Mlp::train_step`]'s backward scratch: `dL/dz` of the layer being
-    /// stepped, and `dL/dx` of its input.
-    delta: Vec<f64>,
-    delta_in: Vec<f64>,
+    pub(crate) pre_acts: Vec<Vec<f64>>,
 }
 
 impl MlpCache {
@@ -159,6 +156,21 @@ impl Mlp {
     /// Number of layers.
     pub fn n_layers(&self) -> usize {
         self.layers.len()
+    }
+
+    /// The layers, input first.
+    pub(crate) fn layers(&self) -> &[Dense] {
+        &self.layers
+    }
+
+    /// The layers, input first, for writing parameters back.
+    pub(crate) fn layers_mut(&mut self) -> &mut [Dense] {
+        &mut self.layers
+    }
+
+    /// Each layer's activation.
+    pub(crate) fn activations(&self) -> &[Activation] {
+        &self.acts
     }
 
     /// Total scalar parameter count.
@@ -304,12 +316,8 @@ impl Mlp {
         let mut dcur = grad_out.to_vec();
         for i in (0..self.layers.len()).rev() {
             // Through the activation: dz = da * act'(z).
-            let act = self.acts[i];
-            let pre = &cache.pre_acts[i];
             let mut dz = dcur;
-            for (d, &z) in dz.iter_mut().zip(pre) {
-                *d *= act.derivative(z);
-            }
+            self.acts[i].mul_derivative(&mut dz, &cache.pre_acts[i]);
             let layer = &self.layers[i];
             let n = layer.param_count();
             let g = &mut grad[offsets[i]..offsets[i] + n];
@@ -375,10 +383,7 @@ impl Mlp {
         let mut end = grad.len();
         for (i, layer) in self.layers.iter().enumerate().rev() {
             // Through the activation: dz = da * act'(z).
-            let act = self.acts[i];
-            for (d, &z) in delta.data_mut().iter_mut().zip(cache.pre_acts[i].data()) {
-                *d *= act.derivative(z);
-            }
+            self.acts[i].mul_derivative(delta.data_mut(), cache.pre_acts[i].data());
             let start = end - layer.param_count();
             let want_dx = i > 0 || want_input;
             let dx = layer.backward_batch(&cache.acts[i], &delta, &mut grad[start..end], want_dx);
@@ -402,8 +407,12 @@ impl Mlp {
 
     /// One SGD step on the example whose forward pass `cache` holds
     /// ([`Mlp::forward_into`]): backpropagate `grad_out = dL/d(output)` and
-    /// apply `p -= lr·g` to every parameter as soon as its gradient `g` is
-    /// formed, so no gradient vector is stored.
+    /// apply `p -= lr·g` to every parameter, with no gradient vector
+    /// stored. This is one step of the training loop in
+    /// [`crate::step`]: the network is laid out in an [`MlpStep`], the
+    /// forward pass re-runs there from the cache's input (leaving the
+    /// cache's activations as they were, bit for bit), one
+    /// [`MlpStep::step`] runs, and the parameters are written back.
     ///
     /// For any finite `lr ≥ 0` the parameters end **bit for bit** where
     /// [`Mlp::backward`] into zeroed gradients followed by
@@ -414,58 +423,48 @@ impl Mlp {
     /// entry. Rows whose `dz` is zero are skipped there too; their
     /// gradient is `+0.0`, so only a `-0.0` tap entry could tell. When
     /// given, `input_grad` receives `dL/d(input)`; the first layer's input
-    /// gradient is computed only for it. The cache's activations are left
-    /// as they were; its backward scratch is overwritten.
+    /// gradient is computed only for it.
     ///
     /// # Panics
-    /// Panics when `grad_out`, `tap` or `input_grad` has the wrong length.
+    /// Panics when `cache` holds no forward pass, or `grad_out`, `tap` or
+    /// `input_grad` has the wrong length.
     pub fn train_step(
         &mut self,
         cache: &mut MlpCache,
         grad_out: &[f64],
         lr: f64,
-        mut tap: Option<&mut [f64]>,
+        tap: Option<&mut [f64]>,
         input_grad: Option<&mut [f64]>,
     ) {
+        self.train_step_with(cache, grad_out, lr, tap, input_grad, KernelKind::detect());
+    }
+
+    /// [`Mlp::train_step`] pinned to a specific kernel instead of the
+    /// auto-detected best one. Every supported kernel produces the same
+    /// bits; this entry point exists so tests and benchmarks can compare
+    /// or time them individually.
+    ///
+    /// # Panics
+    /// Panics when `kernel` is not supported on the running CPU (check
+    /// [`KernelKind::supported`] first), and as [`Mlp::train_step`] does.
+    pub fn train_step_with(
+        &mut self,
+        cache: &mut MlpCache,
+        grad_out: &[f64],
+        lr: f64,
+        tap: Option<&mut [f64]>,
+        input_grad: Option<&mut [f64]>,
+        kernel: KernelKind,
+    ) {
         assert_eq!(
-            grad_out.len(),
-            self.out_dim(),
-            "output gradient width mismatch"
+            cache.acts.first().map(Vec::len),
+            Some(self.in_dim()),
+            "cache holds no forward pass of this network"
         );
-        if let Some(tap) = &tap {
-            assert_eq!(tap.len(), self.param_count(), "flat size mismatch");
-        }
-        let want_input = input_grad.is_some();
-        let MlpCache {
-            acts,
-            pre_acts,
-            delta,
-            delta_in,
-        } = cache;
-        delta.clear();
-        delta.extend_from_slice(grad_out);
-        let mut end = self.param_count();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            // Through the activation: dz = da * act'(z).
-            let act = self.acts[i];
-            for (d, &z) in delta.iter_mut().zip(&pre_acts[i]) {
-                *d *= act.derivative(z);
-            }
-            let start = end - layer.param_count();
-            let tap = tap.as_deref_mut().map(|t| &mut t[start..end]);
-            if i > 0 || want_input {
-                delta_in.clear();
-                delta_in.resize(layer.in_dim(), 0.0);
-                layer.train_step(&acts[i], delta, lr, tap, Some(delta_in));
-                std::mem::swap(delta, delta_in);
-            } else {
-                layer.train_step(&acts[i], delta, lr, tap, None);
-            }
-            end = start;
-        }
-        if let Some(out) = input_grad {
-            out.copy_from_slice(delta);
-        }
+        let mut step = MlpStep::new(self, input_grad.is_some(), tap.as_deref(), kernel);
+        step.forward_cached(cache);
+        step.step(cache, grad_out, lr, input_grad);
+        step.write_back(self, tap);
     }
 }
 
