@@ -1,7 +1,8 @@
 //! Micro-benchmark: the UIS classifier's forward/backward passes (§VI-A) at
 //! paper-scale widths (ku=100, Ne=100), the per-sample SGD step of local
 //! adaptation on each SIMD kernel, pool scoring at serving scale across
-//! the precision ladder, and the raw matmul kernels under it.
+//! the precision ladder, the raw matmul kernels under it, and each kernel
+//! at both precisions on the layers of one scoring tile.
 //!
 //! For machine-readable numbers (the committed `BENCH_pool_scoring.json`
 //! snapshot), use `cargo run --release -p lte-bench --bin pool_scoring`
@@ -207,11 +208,59 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     });
 }
 
+/// The matmul kernel at both precisions on every kernel, at the layers of
+/// one pool-scoring tile of the reduced classifier (`nr = 12`, `ne = 32`,
+/// hidden width 32): the tuple block 12→32 with ReLU, the conversion's
+/// right half 32→32 with its pool-constant bias, the classifier's hidden
+/// layer 32→32 with ReLU and its single-output head 32→1. `Fast` (`f32`)
+/// tiles hold 256 rows, `Exact` (`f64`) tiles 128. Kernels the CPU lacks
+/// are skipped.
+fn bench_matmul_tiles(c: &mut Criterion) {
+    let relu = Activation::Relu;
+    let layers = [
+        ("t_block_12x32_relu", 12, 32, relu),
+        ("conversion_32x32_bias", 32, 32, Activation::Identity),
+        ("clf_hidden_32x32_relu", 32, 32, relu),
+        ("clf_head_32x1", 32, 1, Activation::Identity),
+    ];
+    for kernel in [
+        KernelKind::Avx512f,
+        KernelKind::Avx2Fma,
+        KernelKind::Portable,
+    ] {
+        if !kernel.supported() {
+            println!("matmul/<f32|f64>/{kernel}: not supported on this CPU, skipped");
+            continue;
+        }
+        for (name, k, m, act) in layers {
+            let a = |rows| Matrix::from_fn(rows, k, |i, j| ((i * k + j) as f64 * 0.017).sin());
+            let w = Matrix::from_fn(m, k, |i, j| ((i * k + j) as f64 * 0.029).cos());
+            let bias: Vec<f64> = (0..m).map(|j| (j as f64 * 0.07).sin()).collect();
+            let (a64, a32) = (a(128), Matrix32::from_f64(&a(256)));
+            let w32 = Matrix32::from_f64(&w);
+            let bias32: Vec<f32> = bias.iter().map(|&v| v as f32).collect();
+            c.bench_function(&format!("matmul/f32/{kernel}/{name}"), |b| {
+                b.iter(|| {
+                    let ep = Epilogue::new(black_box(&bias32), act);
+                    black_box(&a32).matmul_nt_ep_with(&w32, ep, kernel).row(0)[0]
+                });
+            });
+            c.bench_function(&format!("matmul/f64/{kernel}/{name}"), |b| {
+                b.iter(|| {
+                    let ep = Epilogue::new(black_box(&bias), act);
+                    black_box(&a64).matmul_nt_ep_with(&w, ep, kernel).row(0)[0]
+                });
+            });
+        }
+    }
+}
+
 criterion_group!(
     benches,
     bench_nn,
     bench_train_step,
     bench_pool_scoring,
-    bench_matmul_kernels
+    bench_matmul_kernels,
+    bench_matmul_tiles
 );
 criterion_main!(benches);

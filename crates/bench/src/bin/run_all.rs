@@ -24,10 +24,14 @@ fn main() {
     experiments::table2::run(&env, out);
     experiments::fig8::run(&env, out);
     experiments::scenarios::run(&env, out, opts.smoke);
-    experiments::pool_scoring::run(&env, out, opts.smoke);
+    let checked = experiments::pool_scoring::run(&env, out, opts.smoke);
 
     println!(
         "\nall experiments regenerated in {:.1} min",
         t0.elapsed().as_secs_f64() / 60.0
     );
+    if let Err(broken) = checked {
+        eprintln!("{broken}");
+        std::process::exit(1);
+    }
 }

@@ -28,6 +28,10 @@
 //! numbers carry their hardware context. See `docs/PERFORMANCE.md` for how
 //! to produce and compare snapshots. Numbers move with the machine;
 //! speedup *ratios* are the stable signal.
+//!
+//! Before it writes a snapshot, [`run`] holds its timings to
+//! [`check_modes`]; the committed snapshot is held to the same rules by
+//! [`read_snapshot`] in the `pool_scoring_snapshot` test.
 
 use crate::env::BenchEnv;
 use crate::report::Report;
@@ -41,6 +45,39 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
+
+/// The modes every snapshot carries.
+pub const MODES: [&str; 13] = [
+    "per_point",
+    "batched_f64",
+    "fast_f32",
+    "kernel_naive_f64",
+    "kernel_tiled_f64",
+    "kernel_f64_fused",
+    "kernel_f32",
+    "kernel_f32_unfused",
+    "kernel_f32_fused",
+    "kernel_f32_avx512",
+    "kernel_f32_avx2",
+    "kernel_f64_avx512",
+    "kernel_f64_avx2",
+];
+
+/// The SIMD kernels timed one by one: the only modes a host without the
+/// feature may mark unsupported.
+pub const PINNED: [&str; 4] = [
+    "kernel_f32_avx512",
+    "kernel_f32_avx2",
+    "kernel_f64_avx512",
+    "kernel_f64_avx2",
+];
+
+/// How much slower than the unfused three passes the fused `f32` layer may
+/// time in a full run.
+pub const FUSED_SLACK: f64 = 1.05;
+
+/// [`FUSED_SLACK`] for a `--smoke` run, whose few iterations are noisier.
+pub const SMOKE_FUSED_SLACK: f64 = 1.25;
 
 /// One snapshot row: median + mean wall time over the run's iteration
 /// count, or an explicit `unsupported` marker for a SIMD kernel the host
@@ -76,9 +113,14 @@ fn fmt_ns(ns: u128) -> String {
     }
 }
 
-/// Run the ladder and write the snapshot. `smoke` shrinks the pool and the
-/// iteration count so CI can exercise the full code path in seconds.
-pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
+/// Run the ladder, check its timings with [`check_modes`] and write the
+/// snapshot. `smoke` shrinks the pool and the iteration count so CI can
+/// exercise the full code path in seconds, and checks at
+/// [`SMOKE_FUSED_SLACK`].
+///
+/// # Errors
+/// Returns the rules the timings break, and writes no snapshot then.
+pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) -> Result<(), String> {
     let (pool_rows, iters) = if smoke { (512, 3) } else { (4096, 30) };
     let (nr, ku, ne) = (64, 40, 64);
 
@@ -270,6 +312,23 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
         let _ = report.write_csv(dir);
     }
 
+    let modes: Vec<(&str, Option<f64>)> = timings
+        .iter()
+        .map(|t| (t.name, (!t.unsupported).then_some(t.median_ns as f64)))
+        .collect();
+    let slack = if smoke {
+        SMOKE_FUSED_SLACK
+    } else {
+        FUSED_SLACK
+    };
+    let violations = check_modes(&modes, slack);
+    if !violations.is_empty() {
+        return Err(format!(
+            "pool_scoring: no snapshot written, the timings break the rules: {}",
+            violations.join("; ")
+        ));
+    }
+
     let json = snapshot_json(pool_rows, nr, iters, &timings);
     let path = out
         .map(|d| d.join("BENCH_pool_scoring.json"))
@@ -283,6 +342,7 @@ pub fn run(env: &BenchEnv, out: Option<&Path>, smoke: bool) {
         Ok(()) => println!("snapshot written to {}", path.display()),
         Err(e) => eprintln!("could not write snapshot {}: {e}", path.display()),
     }
+    Ok(())
 }
 
 /// Hand-rolled JSON (the workspace deliberately has no serde): a flat
@@ -330,8 +390,220 @@ fn snapshot_json(pool_rows: usize, nr: usize, iters: usize, timings: &[Timing]) 
     s
 }
 
+/// The rules every snapshot meets, over its modes (`name`, median ns, or
+/// `None` for a kernel the host cannot run): every mode of [`MODES`] is
+/// present; only the [`PINNED`] kernels may be unsupported, and every
+/// other mode is timed above zero; the fused `f32` layer
+/// (`kernel_f32_fused`) is no slower than `slack` times the three-pass
+/// pipeline it replaced (`kernel_f32_unfused`), nor than the end-to-end
+/// `fast_f32` path. Returns every rule broken.
+pub fn check_modes<S: AsRef<str>>(modes: &[(S, Option<f64>)], slack: f64) -> Vec<String> {
+    let find = |name: &str| modes.iter().find(|(n, _)| n.as_ref() == name);
+    let mut broken: Vec<String> = MODES
+        .iter()
+        .filter(|name| find(name).is_none())
+        .map(|name| format!("missing mode {name}"))
+        .collect();
+    for (name, median) in modes {
+        let name = name.as_ref();
+        match median {
+            None if !PINNED.contains(&name) => {
+                broken.push(format!("{name} may not be unsupported"))
+            }
+            Some(ns) if *ns <= 0.0 => broken.push(format!("{name} has no timing")),
+            _ => {}
+        }
+    }
+    let median = |name| find(name).and_then(|&(_, ns)| ns);
+    if let (Some(fused), Some(unfused), Some(fast)) = (
+        median("kernel_f32_fused"),
+        median("kernel_f32_unfused"),
+        median("fast_f32"),
+    ) {
+        if fused > unfused * slack {
+            broken.push(format!(
+                "fused epilogue slower than unfused passes ({fused} vs {unfused} ns, slack {slack})"
+            ));
+        }
+        if fused > fast {
+            broken.push(format!(
+                "fused kernel slower than the end-to-end fast path ({fused} vs {fast} ns)"
+            ));
+        }
+    }
+    broken
+}
+
+/// The modes of a snapshot [`run`] wrote, for [`check_modes`]: each
+/// mode's median in ns, or `None` where it is marked unsupported.
+///
+/// # Errors
+/// Fails when the text is not such a snapshot: not JSON, or missing a run
+/// field, the modes, or a mode's timing.
+pub fn read_snapshot(json: &str) -> Result<Vec<(String, Option<f64>)>, String> {
+    let Json::Obj(top) = Json::parse(json)? else {
+        return Err("snapshot is not a JSON object".to_string());
+    };
+    let run_fields = [
+        "bench",
+        "pool_rows",
+        "features",
+        "iters",
+        "threads",
+        "cpu_features",
+        "kernel",
+    ];
+    if let Some(key) = run_fields
+        .iter()
+        .find(|&&key| Json::field(&top, key).is_none())
+    {
+        return Err(format!("missing {key}"));
+    }
+    let Some(Json::Obj(modes)) = Json::field(&top, "modes") else {
+        return Err("missing modes".to_string());
+    };
+    modes
+        .iter()
+        .map(|(name, row)| {
+            let Json::Obj(row) = row else {
+                return Err(format!("mode {name} is not an object"));
+            };
+            match (
+                Json::field(row, "unsupported"),
+                Json::field(row, "median_ns"),
+            ) {
+                (Some(Json::Bool(true)), _) => Ok((name.clone(), None)),
+                (_, Some(&Json::Num(ns))) => Ok((name.clone(), Some(ns))),
+                _ => Err(format!("mode {name} has no median_ns")),
+            }
+        })
+        .collect()
+}
+
+/// The JSON the snapshots are written in: objects, strings without
+/// escapes, numbers and booleans.
+#[derive(Debug)]
+enum Json {
+    Obj(Vec<(String, Json)>),
+    Str(String),
+    Num(f64),
+    Bool(bool),
+}
+
+impl Json {
+    /// Parse one value that spans all of `text`.
+    fn parse(text: &str) -> Result<Json, String> {
+        let mut cursor = Cursor {
+            b: text.as_bytes(),
+            at: 0,
+        };
+        let value = cursor.value()?;
+        match cursor.peek() {
+            None => Ok(value),
+            Some(_) => Err(format!("trailing text at byte {}", cursor.at)),
+        }
+    }
+
+    /// The field `key` of an object's fields.
+    fn field<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+/// A position in JSON text.
+struct Cursor<'a> {
+    b: &'a [u8],
+    at: usize,
+}
+
+impl Cursor<'_> {
+    /// The next byte after whitespace, not consumed.
+    fn peek(&mut self) -> Option<u8> {
+        while self.b.get(self.at).is_some_and(u8::is_ascii_whitespace) {
+            self.at += 1;
+        }
+        self.b.get(self.at).copied()
+    }
+
+    /// Consume `c` as the next byte after whitespace.
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        match self.peek() {
+            Some(next) if next == c => {
+                self.at += 1;
+                Ok(())
+            }
+            _ => Err(format!("expected `{}` at byte {}", c as char, self.at)),
+        }
+    }
+
+    /// The value at the cursor, consumed.
+    fn value(&mut self) -> Result<Json, String> {
+        let next = self.peek();
+        let (start, rest) = (self.at, &self.b[self.at..]);
+        match next {
+            Some(b'{') => {
+                self.at += 1;
+                let mut fields = Vec::new();
+                if self.peek() != Some(b'}') {
+                    loop {
+                        let Json::Str(key) = self.value()? else {
+                            return Err(format!("expected a key in the object at byte {start}"));
+                        };
+                        self.expect(b':')?;
+                        fields.push((key, self.value()?));
+                        if self.peek() != Some(b',') {
+                            break;
+                        }
+                        self.at += 1;
+                    }
+                }
+                self.expect(b'}')?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'"') => {
+                let len = rest[1..]
+                    .iter()
+                    .position(|&c| c == b'"')
+                    .ok_or("unterminated string")?;
+                self.at += len + 2;
+                Ok(Json::Str(
+                    String::from_utf8_lossy(&rest[1..=len]).into_owned(),
+                ))
+            }
+            _ if rest.starts_with(b"true") => {
+                self.at += 4;
+                Ok(Json::Bool(true))
+            }
+            _ if rest.starts_with(b"false") => {
+                self.at += 5;
+                Ok(Json::Bool(false))
+            }
+            _ => {
+                let len = rest
+                    .iter()
+                    .position(|c| !(c.is_ascii_digit() || b"+-.eE".contains(c)))
+                    .unwrap_or(rest.len());
+                self.at += len;
+                std::str::from_utf8(&rest[..len])
+                    .ok()
+                    .and_then(|t| t.parse().ok())
+                    .map(Json::Num)
+                    .ok_or_else(|| format!("expected a value at byte {start}"))
+            }
+        }
+    }
+}
+
 /// Dispatch a CLI subcommand; unknown names list the options and exit.
-pub fn subcommand(env: &BenchEnv, out: Option<&Path>, smoke: bool, sub: &str) {
+///
+/// # Errors
+/// As [`run`].
+pub fn subcommand(
+    env: &BenchEnv,
+    out: Option<&Path>,
+    smoke: bool,
+    sub: &str,
+) -> Result<(), String> {
     match sub {
         "all" => run(env, out, smoke),
         other => {

@@ -2,8 +2,8 @@
 
 use crate::activation::Activation;
 use crate::init;
+use crate::kernel::Epilogue;
 use crate::matrix::Matrix;
-use crate::matrix32::Epilogue;
 use rand::Rng;
 
 /// A dense layer `z = W·x + b` with `W: out × in`.

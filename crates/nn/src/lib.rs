@@ -27,6 +27,8 @@ pub mod activation;
 pub mod dense;
 pub mod gradcheck;
 pub mod init;
+mod kernel;
+mod lanes;
 pub mod loss;
 pub mod matrix;
 pub mod matrix32;
@@ -35,7 +37,8 @@ pub mod step;
 
 pub use activation::Activation;
 pub use dense::Dense;
+pub use kernel::{cpu_features, Epilogue, KernelKind};
 pub use matrix::Matrix;
-pub use matrix32::{cpu_features, Epilogue, KernelKind, Matrix32};
+pub use matrix32::Matrix32;
 pub use mlp::{Mlp, Mlp32, MlpBatchCache, MlpCache};
 pub use step::{MlpStep, StepLayer};

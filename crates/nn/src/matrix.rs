@@ -6,13 +6,13 @@
 //! operand against layer weights. No BLAS needed.
 //!
 //! The one genuinely hot kernel, [`Matrix::matmul_nt_ep`] (`A·Bᵀ` with a
-//! fused bias + activation epilogue), runs at vector width: [`KernelKind`]
-//! picks an AVX-512F 4-row × 16-column register tile, an AVX2 4 × 8 tile,
-//! or the portable 2-row × 8-column loop. Unlike the reassociating `f32`
-//! kernels in [`crate::matrix32`], every `f64` kernel keeps a strict
-//! per-output order, so batched results are **bit-identical** to per-row
-//! evaluation ([`Matrix::matvec`], then the bias, then the activation) on
-//! every kernel:
+//! fused bias + activation epilogue), runs at vector width on the lanes
+//! [`KernelKind`] picks: AVX-512F (8 lanes), AVX2 (4) or portable (2). It
+//! is the same kernel as the `f32` [`Matrix32`](crate::Matrix32) path,
+//! written once over both precisions, but on `f64` lanes every output
+//! keeps a strict order, so batched results are **bit-identical** to
+//! per-row evaluation ([`Matrix::matvec`], then the bias, then the
+//! activation) on every kernel:
 //!
 //! * SIMD lanes hold different outputs, never parts of one sum, and there
 //!   are no horizontal reductions;
@@ -24,7 +24,7 @@
 //!   a NaN `x` and `+0.0` for `-0.0`, as `f64::max(x, 0.0)` does.
 
 use crate::activation::Activation;
-use crate::matrix32::{Epilogue, KernelKind};
+use crate::kernel::{self, Epilogue, KernelKind, Packed};
 use rand::Rng;
 
 /// A dense row-major `rows × cols` matrix of `f64`.
@@ -319,20 +319,22 @@ impl Matrix {
     /// [`Matrix::matmul_nn`] on `kernel`.
     fn matmul_nn_with(&self, other: &Matrix, kernel: KernelKind) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul_nn inner dimension mismatch");
-        self.matmul_packed(other.cols, kernel, false, |w| Packed::from_kn(other, w))
+        let data = kernel::matmul(&self.data, self.rows, kernel, false, |lanes| {
+            Packed::from_kn(&other.data, other.rows, other.cols, lanes)
+        });
+        Matrix::from_vec(self.rows, other.cols, data)
     }
 
     /// [`Matrix::matmul_nt`] with a fused [`Epilogue`]:
     /// `C[i][j] = act(⟨A.row(i), B.row(j)⟩ + bias[j])`, on the kernel
     /// [`KernelKind::detect`] picks.
     ///
-    /// Each kernel packs `Bᵀ` once per call into zero-padded column
-    /// panels, then sweeps register tiles of rows of `A` against
-    /// L1-resident slabs of panels: 4 rows × 16 columns (two 8-lane
-    /// vectors) on AVX-512F, 4 × 8 (two 4-lane vectors) on AVX2, 2 × 8
-    /// scalars on the portable kernel. A ragged panel narrower than one
-    /// vector runs on a single vector, so the classifier head (`m = 1`)
-    /// stays on the same path. The bias add and a
+    /// The kernel packs `Bᵀ` once per call into zero-padded column panels,
+    /// then sweeps register tiles of eight accumulator chains against
+    /// L1-resident slabs of panels: 4 rows × 2 vectors, or 8 rows × 1
+    /// vector (on panels one vector wide) when one vector holds every
+    /// output (the classifier head, `m = 1`). A ragged panel whose live
+    /// columns fit one vector runs on a single vector. The bias add and a
     /// ReLU/identity activation are applied in-register before each store;
     /// Sigmoid and Tanh run as a post-store pass. The result equals, bit
     /// for bit, `matvec` of each row followed by `+ bias` and
@@ -372,464 +374,19 @@ impl Matrix {
         ep: Epilogue<'_, f64>,
         kernel: KernelKind,
     ) -> Matrix {
-        assert!(
-            kernel.supported(),
-            "kernel {kernel} is not supported on this CPU"
-        );
         assert_eq!(self.cols, other.cols, "matmul_nt inner dimension mismatch");
         if let Some(b) = ep.bias {
             assert_eq!(b.len(), other.rows, "epilogue bias width mismatch");
         }
         let (fused, post) = ep.split_post();
         let relu = matches!(fused.activation, Activation::Relu);
-        let mut out = self.matmul_packed(other.rows, kernel, relu, |w| {
-            Packed::from_rows(other, fused.bias, w)
+        let mut data = kernel::matmul(&self.data, self.rows, kernel, relu, |lanes| {
+            Packed::from_rows(&other.data, other.rows, other.cols, fused.bias, lanes)
         });
         if let Some(act) = post {
-            act.apply_slice(&mut out.data);
+            act.apply_slice(&mut data);
         }
-        out
-    }
-
-    /// `act(A·B + bias)` on `kernel`, where `pack(w)` packs the `k × m`
-    /// right operand `B` and the bias into panels of width `w`, and `act`
-    /// is ReLU when `relu`, else the identity. The shared back end of the
-    /// products; the caller checks the shapes and the kernel.
-    fn matmul_packed(
-        &self,
-        m: usize,
-        kernel: KernelKind,
-        relu: bool,
-        pack: impl FnOnce(usize) -> Packed,
-    ) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, m);
-        if self.rows == 0 || m == 0 {
-            return out;
-        }
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: every caller asserted `kernel.supported()`, so the
-            // CPU has AVX-512F; the panels are packed at the kernel's width.
-            KernelKind::Avx512f => unsafe {
-                avx512::matmul(self, &pack(avx512::COLS), relu, &mut out)
-            },
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as above; `Avx2Fma` support implies AVX2.
-            KernelKind::Avx2Fma => unsafe { avx2::matmul(self, &pack(avx2::COLS), relu, &mut out) },
-            _ => matmul_portable(self, &pack(PORTABLE_COLS), relu, &mut out),
-        }
-        out
-    }
-}
-
-/// Columns per panel of the portable kernel.
-const PORTABLE_COLS: usize = 8;
-
-/// The portable kernel behind [`Matrix::matmul_nt_ep`], for CPUs without
-/// a SIMD kernel: the SIMD kernels' loop nest with eight scalar columns
-/// per panel, two `A` rows per pass sharing every load of the panel, and
-/// eight independent accumulator chains per row.
-fn matmul_portable(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
-    let n = a.rows;
-    let slab = Packed::slab(a.cols, PORTABLE_COLS);
-    for p0 in (0..packed.panels).step_by(slab) {
-        let panels = p0..(p0 + slab).min(packed.panels);
-        let mut i = 0;
-        while i + 2 <= n {
-            portable_rows::<2>(a, packed, relu, out, i, panels.clone());
-            i += 2;
-        }
-        if i < n {
-            portable_rows::<1>(a, packed, relu, out, i, panels);
-        }
-    }
-}
-
-/// Rows `i..i + R` of [`matmul_portable`] against the panels `panels`.
-fn portable_rows<const R: usize>(
-    a: &Matrix,
-    packed: &Packed,
-    relu: bool,
-    out: &mut Matrix,
-    i: usize,
-    panels: std::ops::Range<usize>,
-) {
-    const W: usize = PORTABLE_COLS;
-    let (k, m) = (a.cols, out.cols);
-    for p in panels {
-        let panel = &packed.bt[p * k * W..(p + 1) * k * W];
-        let mut s = [[0.0f64; W]; R];
-        for (kk, step) in panel.chunks_exact(W).enumerate() {
-            for (r, s) in s.iter_mut().enumerate() {
-                let av = a.data[(i + r) * k + kk];
-                for (sc, &bv) in s.iter_mut().zip(step) {
-                    *sc += av * bv;
-                }
-            }
-        }
-        let j = p * W;
-        let width = (m - j).min(W);
-        for (r, s) in s.iter().enumerate() {
-            let orow = &mut out.data[(i + r) * m + j..(i + r) * m + j + width];
-            for (c, (o, &v)) in orow.iter_mut().zip(s).enumerate() {
-                let x = match &packed.bias {
-                    Some(b) => v + b[j + c],
-                    None => v,
-                };
-                *o = if relu { x.max(0.0) } else { x };
-            }
-        }
-    }
-}
-
-/// The right operand of `A·Bᵀ` (`B` is `m × k`) and the epilogue bias
-/// packed for the kernels, in `⌈m / w⌉` column panels of width `w`: panel
-/// `p` holds `B[p·w + c][kk]` at `bt[(p·k + kk)·w + c]`, so one
-/// aligned-width load reads `w` consecutive output columns. Both are
-/// zero-padded past `m`; the padded lanes are computed but never stored.
-struct Packed {
-    panels: usize,
-    bt: Vec<f64>,
-    bias: Option<Vec<f64>>,
-}
-
-impl Packed {
-    /// The panels of `B` (`m × k`, one output per row), and the bias.
-    fn from_rows(b: &Matrix, bias: Option<&[f64]>, w: usize) -> Self {
-        let (m, k) = (b.rows, b.cols);
-        let panels = m.div_ceil(w);
-        let mut bt = vec![0.0; panels * k * w];
-        for j in 0..m {
-            let (p, c) = (j / w, j % w);
-            for (kk, &v) in b.row(j).iter().enumerate() {
-                bt[(p * k + kk) * w + c] = v;
-            }
-        }
-        let bias = bias.map(|b| {
-            let mut padded = vec![0.0; panels * w];
-            padded[..m].copy_from_slice(b);
-            padded
-        });
-        Self { panels, bt, bias }
-    }
-
-    /// The panels of `Bᵀ` for `A·B` (`B` is `k × m`, one output per
-    /// column), straight from `B`'s rows: panel `p` at step `kk` is the
-    /// slice `B[kk][p·w .. p·w + w]`, zero-padded.
-    fn from_kn(b: &Matrix, w: usize) -> Self {
-        let (k, m) = (b.rows, b.cols);
-        let panels = m.div_ceil(w);
-        let mut bt = vec![0.0; panels * k * w];
-        for (kk, row) in b.data.chunks_exact(m.max(1)).enumerate() {
-            for (p, cols) in row.chunks(w).enumerate() {
-                let at = (p * k + kk) * w;
-                bt[at..at + cols.len()].copy_from_slice(cols);
-            }
-        }
-        Self {
-            panels,
-            bt,
-            bias: None,
-        }
-    }
-
-    /// Panels per L1-resident slab: as many `k × w` panels as
-    /// [`l1_block_rows`] allows rows of `B` (at least `w`, so one panel).
-    fn slab(k: usize, w: usize) -> usize {
-        l1_block_rows(k, w) / w
-    }
-}
-
-/// AVX-512F `f64` kernel for [`Matrix::matmul_nt_ep`]: 4-row × 16-column
-/// register tiles, each row's 16 outputs held in two 8-lane vectors. For
-/// each `k` step a tile loads two vectors of the packed panel, broadcasts
-/// one value of each of its 4 rows, and does one `_mm512_mul_pd` then one
-/// `_mm512_add_pd` per accumulator — lanes are different outputs, so each
-/// output's sum keeps the scalar order and rounding.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{Matrix, Packed};
-    use std::arch::x86_64::*;
-
-    /// Rows per register tile.
-    const ROWS: usize = 4;
-    /// `f64` lanes per vector.
-    const LANES: usize = 8;
-    /// Columns per panel: two vectors.
-    pub(super) const COLS: usize = 2 * LANES;
-
-    /// `act(x + bias)` on one vector. `_mm512_max_pd(x, 0)` returns its
-    /// second operand when `x` is NaN or both are zero, so it equals
-    /// `f64::max(x, 0.0)` lane for lane, `-0.0` included.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn apply_ep(x: __m512d, bias: Option<__m512d>, relu: bool) -> __m512d {
-        let mut x = x;
-        if let Some(b) = bias {
-            x = _mm512_add_pd(x, b);
-        }
-        if relu {
-            x = _mm512_max_pd(x, _mm512_setzero_pd());
-        }
-        x
-    }
-
-    /// Rows `i..i + R` of `out`, columns `j..j + min(V·LANES, m − j)`,
-    /// from one packed panel (`k × COLS`) and its padded bias.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F. `bias`, when given, must hold at least
-    /// `V·LANES` values, and `V` may be 2 only when `m − j > LANES`, so
-    /// every unmasked store stays inside row `i + r`'s live columns.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn row_tile<const R: usize, const V: usize>(
-        arows: &[&[f64]; R],
-        panel: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-        m: usize,
-        i: usize,
-        j: usize,
-    ) {
-        let mut acc = [[_mm512_setzero_pd(); V]; R];
-        for (kk, step) in panel.chunks_exact(COLS).enumerate() {
-            let mut vb = [_mm512_setzero_pd(); V];
-            for (v, b) in vb.iter_mut().enumerate() {
-                *b = _mm512_loadu_pd(step.as_ptr().add(v * LANES));
-            }
-            for r in 0..R {
-                let va = _mm512_set1_pd(arows[r][kk]);
-                for v in 0..V {
-                    acc[r][v] = _mm512_add_pd(acc[r][v], _mm512_mul_pd(va, vb[v]));
-                }
-            }
-        }
-        let mut vbias = [None; V];
-        if let Some(b) = bias {
-            for (v, vb) in vbias.iter_mut().enumerate() {
-                *vb = Some(_mm512_loadu_pd(b.as_ptr().add(v * LANES)));
-            }
-        }
-        // Live lanes of the last vector: all of them except in a ragged
-        // panel, where the masked store leaves the padded lanes unwritten.
-        let width = (m - j).min(V * LANES);
-        let last: __mmask8 = 0xFF >> (V * LANES - width);
-        for (r, acc) in acc.iter().enumerate() {
-            let o = (i + r) * m + j;
-            let dst = out[o..o + width].as_mut_ptr();
-            for v in 0..V - 1 {
-                _mm512_storeu_pd(dst.add(v * LANES), apply_ep(acc[v], vbias[v], relu));
-            }
-            let x = apply_ep(acc[V - 1], vbias[V - 1], relu);
-            _mm512_mask_storeu_pd(dst.add((V - 1) * LANES), last, x);
-        }
-    }
-
-    /// Rows `i..i + R` against the panels `panels` of `packed`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F, and `packed` must be packed with
-    /// width `COLS` from a matrix with `out.cols` rows and `a.cols`
-    /// columns.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rows<const R: usize>(
-        a: &Matrix,
-        packed: &Packed,
-        relu: bool,
-        out: &mut Matrix,
-        i: usize,
-        panels: std::ops::Range<usize>,
-    ) {
-        let (k, m) = (a.cols, out.cols);
-        let arows: [&[f64]; R] = std::array::from_fn(|r| a.row(i + r));
-        for p in panels {
-            let j = p * COLS;
-            let panel = &packed.bt[p * k * COLS..(p + 1) * k * COLS];
-            let bias = packed.bias.as_deref().map(|b| &b[j..j + COLS]);
-            if m - j > LANES {
-                row_tile::<R, 2>(&arows, panel, bias, relu, &mut out.data, m, i, j);
-            } else {
-                row_tile::<R, 1>(&arows, panel, bias, relu, &mut out.data, m, i, j);
-            }
-        }
-    }
-
-    /// `out = act(A·Bᵀ + bias)` from `B` and the bias packed at width
-    /// `COLS`, bit-identical to the per-row reference. `out` must already
-    /// be `A.rows × m` for the `m` columns packed; shapes and the bias
-    /// width are the caller's contract ([`Matrix::matmul_nt_ep_with`] and
-    /// [`Matrix::matmul_nn`] check them).
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn matmul(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
-        let n = a.rows;
-        let slab = Packed::slab(a.cols, COLS);
-        for p0 in (0..packed.panels).step_by(slab) {
-            let panels = p0..(p0 + slab).min(packed.panels);
-            let mut i = 0;
-            while i + ROWS <= n {
-                rows::<ROWS>(a, packed, relu, out, i, panels.clone());
-                i += ROWS;
-            }
-            while i < n {
-                rows::<1>(a, packed, relu, out, i, panels.clone());
-                i += 1;
-            }
-        }
-    }
-}
-
-/// AVX2 `f64` kernel for [`Matrix::matmul_nt_ep`]: the AVX-512F kernel's
-/// structure at half the width — 4-row × 8-column register tiles, each
-/// row's 8 outputs in two 4-lane vectors, one `_mm256_mul_pd` then one
-/// `_mm256_add_pd` per accumulator and `k` step. It uses no FMA, so it
-/// needs only AVX2 (dispatched as [`KernelKind::Avx2Fma`]).
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{Matrix, Packed};
-    use std::arch::x86_64::*;
-
-    /// Rows per register tile.
-    const ROWS: usize = 4;
-    /// `f64` lanes per vector.
-    const LANES: usize = 4;
-    /// Columns per panel: two vectors.
-    pub(super) const COLS: usize = 2 * LANES;
-
-    /// `act(x + bias)` on one vector; `_mm256_max_pd(x, 0)` equals
-    /// `f64::max(x, 0.0)` lane for lane, as in the AVX-512F kernel.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn apply_ep(x: __m256d, bias: Option<__m256d>, relu: bool) -> __m256d {
-        let mut x = x;
-        if let Some(b) = bias {
-            x = _mm256_add_pd(x, b);
-        }
-        if relu {
-            x = _mm256_max_pd(x, _mm256_setzero_pd());
-        }
-        x
-    }
-
-    /// Rows `i..i + R` of `out`, columns `j..j + min(V·LANES, m − j)`,
-    /// from one packed panel (`k × COLS`) and its padded bias.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2. `bias`, when given, must hold at least
-    /// `V·LANES` values, and `V` may be 2 only when `m − j > LANES`, so
-    /// every unmasked store stays inside row `i + r`'s live columns.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn row_tile<const R: usize, const V: usize>(
-        arows: &[&[f64]; R],
-        panel: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-        m: usize,
-        i: usize,
-        j: usize,
-    ) {
-        let mut acc = [[_mm256_setzero_pd(); V]; R];
-        for (kk, step) in panel.chunks_exact(COLS).enumerate() {
-            let mut vb = [_mm256_setzero_pd(); V];
-            for (v, b) in vb.iter_mut().enumerate() {
-                *b = _mm256_loadu_pd(step.as_ptr().add(v * LANES));
-            }
-            for r in 0..R {
-                let va = _mm256_set1_pd(arows[r][kk]);
-                for v in 0..V {
-                    acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(va, vb[v]));
-                }
-            }
-        }
-        let mut vbias = [None; V];
-        if let Some(b) = bias {
-            for (v, vb) in vbias.iter_mut().enumerate() {
-                *vb = Some(_mm256_loadu_pd(b.as_ptr().add(v * LANES)));
-            }
-        }
-        // Live lanes of the last vector, as in the AVX-512F kernel: the
-        // sign bit of each 64-bit mask lane enables its store.
-        let width = (m - j).min(V * LANES);
-        let live = width - (V - 1) * LANES;
-        let last = _mm256_setr_epi64x(
-            -1,
-            if live > 1 { -1 } else { 0 },
-            if live > 2 { -1 } else { 0 },
-            if live > 3 { -1 } else { 0 },
-        );
-        for (r, acc) in acc.iter().enumerate() {
-            let o = (i + r) * m + j;
-            let dst = out[o..o + width].as_mut_ptr();
-            for v in 0..V - 1 {
-                _mm256_storeu_pd(dst.add(v * LANES), apply_ep(acc[v], vbias[v], relu));
-            }
-            let x = apply_ep(acc[V - 1], vbias[V - 1], relu);
-            _mm256_maskstore_pd(dst.add((V - 1) * LANES), last, x);
-        }
-    }
-
-    /// Rows `i..i + R` against the panels `panels` of `packed`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2, and `packed` must be packed with width
-    /// `COLS` from a matrix with `out.cols` rows and `a.cols` columns.
-    #[target_feature(enable = "avx2")]
-    unsafe fn rows<const R: usize>(
-        a: &Matrix,
-        packed: &Packed,
-        relu: bool,
-        out: &mut Matrix,
-        i: usize,
-        panels: std::ops::Range<usize>,
-    ) {
-        let (k, m) = (a.cols, out.cols);
-        let arows: [&[f64]; R] = std::array::from_fn(|r| a.row(i + r));
-        for p in panels {
-            let j = p * COLS;
-            let panel = &packed.bt[p * k * COLS..(p + 1) * k * COLS];
-            let bias = packed.bias.as_deref().map(|b| &b[j..j + COLS]);
-            if m - j > LANES {
-                row_tile::<R, 2>(&arows, panel, bias, relu, &mut out.data, m, i, j);
-            } else {
-                row_tile::<R, 1>(&arows, panel, bias, relu, &mut out.data, m, i, j);
-            }
-        }
-    }
-
-    /// `out = act(A·Bᵀ + bias)` from `B` and the bias packed at width
-    /// `COLS`, bit-identical to the per-row reference; the caller's
-    /// contract is that of `avx512::matmul`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (`is_x86_feature_detected!`).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn matmul(a: &Matrix, packed: &Packed, relu: bool, out: &mut Matrix) {
-        let n = a.rows;
-        let slab = Packed::slab(a.cols, COLS);
-        for p0 in (0..packed.panels).step_by(slab) {
-            let panels = p0..(p0 + slab).min(packed.panels);
-            let mut i = 0;
-            while i + ROWS <= n {
-                rows::<ROWS>(a, packed, relu, out, i, panels.clone());
-                i += ROWS;
-            }
-            while i < n {
-                rows::<1>(a, packed, relu, out, i, panels.clone());
-                i += 1;
-            }
-        }
+        Matrix::from_vec(self.rows, other.rows, data)
     }
 }
 
@@ -846,17 +403,11 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// (~32 KiB), floored at `min_rows` so tiny inner dimensions never
 /// degenerate the tile below the kernel width and capped at 512.
 /// `elem_size` is the scalar width in bytes (8 for `f64`, 4 for `f32`).
-/// The kernels size their right-operand slabs with it, and `f32` pool
-/// scoring sizes its row tiles.
+/// The kernel sizes its right-operand slabs with it, and pool scoring
+/// sizes its row tiles.
 pub fn l1_block_rows_sized(k: usize, min_rows: usize, elem_size: usize) -> usize {
     const L1_BUDGET_BYTES: usize = 32 * 1024;
     (L1_BUDGET_BYTES / (elem_size * k.max(1))).clamp(min_rows, 512)
-}
-
-/// [`Matrix::matmul_nt`]'s cache tile: how many rows of the `f64` right
-/// operand are processed per slab. Exposed for the kernel benches.
-pub fn l1_block_rows(k: usize, min_rows: usize) -> usize {
-    l1_block_rows_sized(k, min_rows, std::mem::size_of::<f64>())
 }
 
 /// Cosine similarity; zero vectors yield 0.
@@ -889,7 +440,7 @@ pub fn softmax_inplace(x: &mut [f64]) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -981,7 +532,7 @@ mod tests {
     }
 
     /// Every kernel the running CPU supports.
-    fn kernels() -> Vec<KernelKind> {
+    pub(crate) fn kernels() -> Vec<KernelKind> {
         [
             KernelKind::Avx512f,
             KernelKind::Avx2Fma,
@@ -998,7 +549,7 @@ mod tests {
     /// starts with `+inf` (`±inf` sums, and NaN against `B`'s zero at
     /// `[1][0]`); row 2 holds one NaN. Each row has at most one NaN
     /// source, so every NaN is bit-stable.
-    fn special_operands(n: usize, m: usize, k: usize) -> (Matrix, Matrix, Vec<f64>) {
+    pub(crate) fn special_operands(n: usize, m: usize, k: usize) -> (Matrix, Matrix, Vec<f64>) {
         let a = Matrix::from_fn(n, k, |r, c| match (r, c) {
             (0, _) => 0.0,
             (1, 0) => f64::INFINITY,
@@ -1023,14 +574,14 @@ mod tests {
         (a, b, bias)
     }
 
-    /// The grid straddles the 4-row tiles, the 4-, 8- and 16-column
-    /// vectors and panels, and an empty inner dimension; the extra shapes
-    /// cross the L1 slab boundary (512 rows at small k) and the portable
-    /// kernel's 2-row × 8-column blocks.
-    fn special_shapes() -> Vec<(usize, usize, usize)> {
+    /// The grid straddles the 4- and 8-row tiles, the vectors and panels
+    /// of every lane width (2 to 16 lanes, panels of 4 to 32 columns), and
+    /// an empty inner dimension; the extra shapes cross the L1 slab
+    /// boundary (512 rows at small k).
+    pub(crate) fn special_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
-        for n in [1, 3, 4, 5, 13] {
-            for m in [1, 7, 8, 9, 15, 16, 17, 33] {
+        for n in [1, 3, 4, 5, 7, 8, 9, 13] {
+            for m in [1, 7, 8, 9, 15, 16, 17, 31, 32, 33] {
                 for k in [0, 1, 12, 32] {
                     shapes.push((n, m, k));
                 }
@@ -1116,7 +667,7 @@ mod tests {
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn simd_relu_matches_scalar_max() {
-        use std::arch::x86_64::*;
+        use crate::lanes::{Avx2F64, Avx512F64, Lanes};
         let xs = [
             f64::NAN,
             -0.0,
@@ -1131,27 +682,24 @@ mod tests {
             .iter()
             .map(|&x| Activation::Relu.apply(x).to_bits())
             .collect();
-        if KernelKind::Avx512f.supported() {
+        /// `max0` of `xs` on `L`'s lanes.
+        ///
+        /// # Safety
+        /// The CPU must support `L`'s instructions.
+        unsafe fn relu<L: Lanes<Elem = f64>>(xs: &[f64; 8]) -> Vec<u64> {
             let mut got = [0.0f64; 8];
-            // SAFETY: AVX-512F support was just checked; both arrays hold
-            // the 8 lanes one vector loads and stores.
-            unsafe {
-                let x = avx512::apply_ep(_mm512_loadu_pd(xs.as_ptr()), None, true);
-                _mm512_storeu_pd(got.as_mut_ptr(), x);
+            for (src, dst) in xs.chunks_exact(L::N).zip(got.chunks_exact_mut(L::N)) {
+                L::load(src).max0().store(dst);
             }
-            assert_eq!(got.map(f64::to_bits).to_vec(), want);
+            got.map(f64::to_bits).to_vec()
+        }
+        if KernelKind::Avx512f.supported() {
+            // SAFETY: AVX-512F support was just checked.
+            assert_eq!(unsafe { relu::<Avx512F64>(&xs) }, want);
         }
         if KernelKind::Avx2Fma.supported() {
-            let mut got = [0.0f64; 8];
-            for (src, dst) in xs.chunks_exact(4).zip(got.chunks_exact_mut(4)) {
-                // SAFETY: AVX2 support was just checked; each chunk holds
-                // the 4 lanes one vector loads and stores.
-                unsafe {
-                    let x = avx2::apply_ep(_mm256_loadu_pd(src.as_ptr()), None, true);
-                    _mm256_storeu_pd(dst.as_mut_ptr(), x);
-                }
-            }
-            assert_eq!(got.map(f64::to_bits).to_vec(), want);
+            // SAFETY: AVX2 support was just checked.
+            assert_eq!(unsafe { relu::<Avx2F64>(&xs) }, want);
         }
     }
 
@@ -1188,9 +736,11 @@ mod tests {
     #[test]
     fn l1_block_rows_respects_bounds() {
         // Tiny k: capped at 512 rows; huge k: floored at the kernel width.
-        assert_eq!(l1_block_rows(1, 8), 512);
-        assert_eq!(l1_block_rows(1_000_000, 8), 8);
-        // At k=64 the slab is 32 KiB / (8·64) = 64 rows.
-        assert_eq!(l1_block_rows(64, 8), 64);
+        assert_eq!(l1_block_rows_sized(1, 8, 8), 512);
+        assert_eq!(l1_block_rows_sized(1_000_000, 8, 8), 8);
+        // At k=64 the slab is 32 KiB / (8·64) = 64 rows of f64, and twice
+        // as many of f32.
+        assert_eq!(l1_block_rows_sized(64, 8, 8), 64);
+        assert_eq!(l1_block_rows_sized(64, 8, 4), 128);
     }
 }

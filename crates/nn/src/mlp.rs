@@ -10,8 +10,9 @@
 
 use crate::activation::Activation;
 use crate::dense::Dense;
+use crate::kernel::{Epilogue, KernelKind};
 use crate::matrix::Matrix;
-use crate::matrix32::{Epilogue, KernelKind, Matrix32};
+use crate::matrix32::Matrix32;
 use crate::step::MlpStep;
 use rand::Rng;
 

@@ -36,10 +36,11 @@
 //! * a gradient tap accumulates `+= g` under the same mask, in the
 //!   layout of the weights it mirrors, and is transposed back once.
 //!
-//! The kernels are written once over a small lane trait and run at
-//! AVX-512F (8 lanes), AVX2 (4 lanes) or two portable lanes, whichever
-//! [`KernelKind::detect`] picks, with no FMA on any of them;
-//! [`Mlp::train_step_with`] pins one for tests and benches.
+//! The kernels are written once over the `f64` lanes that the batched
+//! matmul kernel also runs on, and run at AVX-512F (8 lanes), AVX2 (4
+//! lanes) or two portable lanes, whichever [`KernelKind::detect`] picks,
+//! with no FMA on any of them; [`Mlp::train_step_with`] pins one for tests
+//! and benches.
 //!
 //! [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 //! [`Matrix::matvec_t`]: crate::Matrix::matvec_t
@@ -48,8 +49,9 @@
 //! [`Mlp::train_step_with`]: crate::Mlp::train_step_with
 
 use crate::activation::Activation;
+use crate::kernel::KernelKind;
+use crate::lanes::{Lanes, PortableF64, StepLanes};
 use crate::matrix::{dot, Matrix};
-use crate::matrix32::KernelKind;
 use crate::mlp::{Mlp, MlpCache};
 
 /// Vectors per register block: the forward pass and the transposed update
@@ -111,7 +113,7 @@ impl StepLayer {
         if let Some(b) = bias {
             assert_eq!(b.len(), m, "bias width mismatch");
         }
-        let lanes = lanes(kernel);
+        let lanes = kernel.lanes::<f64>();
         let (cols_stride, rows_stride) = (m.next_multiple_of(lanes), k.next_multiple_of(lanes));
         let has_cols = m > 1;
         let cols = has_cols.then(|| to_cols(w.data(), m, k, cols_stride));
@@ -169,7 +171,7 @@ impl StepLayer {
             // SAFETY: as above; `Avx2Fma` support implies AVX2.
             KernelKind::Avx2Fma => unsafe { x86::forward_avx2(self, x, z) },
             // SAFETY: the portable lanes need no CPU feature.
-            _ => unsafe { self.forward_on::<Portable>(x, z) },
+            _ => unsafe { self.forward_on::<PortableF64>(x, z) },
         }
     }
 
@@ -197,7 +199,7 @@ impl StepLayer {
             // SAFETY: as above; `Avx2Fma` support implies AVX2.
             KernelKind::Avx2Fma => unsafe { x86::step_avx2(self, x, d, lr, dx) },
             // SAFETY: the portable lanes need no CPU feature.
-            _ => unsafe { self.step_on::<Portable>(x, d, lr, dx) },
+            _ => unsafe { self.step_on::<PortableF64>(x, d, lr, dx) },
         }
     }
 
@@ -236,7 +238,7 @@ impl StepLayer {
     /// # Safety
     /// The CPU must support `L`'s instructions.
     #[inline(always)]
-    unsafe fn forward_on<L: Lanes>(&self, x: &[f64], z: &mut [f64]) {
+    unsafe fn forward_on<L: Lanes<Elem = f64>>(&self, x: &[f64], z: &mut [f64]) {
         let bias = self.bias.as_deref();
         match (&self.cols, &self.rows) {
             (Some(cols), _) => forward_cols::<L>(cols, self.cols_stride, x, bias, z),
@@ -259,7 +261,13 @@ impl StepLayer {
     /// # Safety
     /// The CPU must support `L`'s instructions.
     #[inline(always)]
-    unsafe fn step_on<L: Lanes>(&mut self, x: &[f64], d: &[f64], lr: f64, dx: Option<&mut [f64]>) {
+    unsafe fn step_on<L: StepLanes>(
+        &mut self,
+        x: &[f64],
+        d: &[f64],
+        lr: f64,
+        dx: Option<&mut [f64]>,
+    ) {
         let (mut tap_w, tap_b) = match &mut self.tap {
             Some((w, b)) => (Some(&mut w[..]), Some(&mut b[..])),
             None => (None, None),
@@ -423,16 +431,6 @@ impl MlpStep {
     }
 }
 
-/// `f64` lanes per vector of `kernel`'s step, the padding unit of the
-/// layouts.
-fn lanes(kernel: KernelKind) -> usize {
-    match kernel {
-        KernelKind::Avx512f => 8,
-        KernelKind::Avx2Fma => 4,
-        KernelKind::Portable => 2,
-    }
-}
-
 /// A zeroed `f64` buffer whose slice starts on a cache line where the
 /// allocation allows, so that no vector of a padded row straddles two
 /// lines. It over-allocates by seven values instead of asking the
@@ -505,102 +503,13 @@ fn from_rows(src: &[f64], stride: usize, dst: &mut [f64], m: usize, k: usize) {
     }
 }
 
-/// The vector operations the step's kernels are written in, one
-/// implementation per [`KernelKind`]. Each is one IEEE operation per lane,
-/// never fused.
-///
-/// # Safety
-/// Every method requires a CPU that supports the implementation's
-/// instructions; slices are bounds-checked as usual.
-trait Lanes: Copy {
-    /// `f64` lanes per vector.
-    const N: usize;
-    unsafe fn zero() -> Self;
-    unsafe fn splat(x: f64) -> Self;
-    /// The first `N` values of `s`.
-    unsafe fn load(s: &[f64]) -> Self;
-    /// The first `n ≤ N` values of `s`, zeros in the other lanes.
-    unsafe fn load_part(s: &[f64], n: usize) -> Self;
-    /// Store all `N` lanes into the front of `s`.
-    unsafe fn store(self, s: &mut [f64]);
-    /// Store the first `n ≤ N` lanes into the front of `s`.
-    unsafe fn store_part(self, s: &mut [f64], n: usize);
-    unsafe fn add(self, o: Self) -> Self;
-    unsafe fn sub(self, o: Self) -> Self;
-    unsafe fn mul(self, o: Self) -> Self;
-    /// Lane by lane, `new` where `d != 0.0` (true for NaN, as the scalar
-    /// `!=`), else `old`.
-    unsafe fn select_nonzero(d: Self, new: Self, old: Self) -> Self;
-}
-
-/// The portable lanes: two scalars, left to the compiler to vectorize.
-#[derive(Clone, Copy)]
-struct Portable([f64; 2]);
-
-impl Portable {
-    #[inline(always)]
-    fn zip(self, o: Self, f: impl Fn(f64, f64) -> f64) -> Self {
-        Self(std::array::from_fn(|i| f(self.0[i], o.0[i])))
-    }
-}
-
-impl Lanes for Portable {
-    const N: usize = 2;
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        Self([0.0; 2])
-    }
-    #[inline(always)]
-    unsafe fn splat(x: f64) -> Self {
-        Self([x; 2])
-    }
-    #[inline(always)]
-    unsafe fn load(s: &[f64]) -> Self {
-        Self([s[0], s[1]])
-    }
-    #[inline(always)]
-    unsafe fn load_part(s: &[f64], n: usize) -> Self {
-        Self([s[0], if n > 1 { s[1] } else { 0.0 }])
-    }
-    #[inline(always)]
-    unsafe fn store(self, s: &mut [f64]) {
-        s[..2].copy_from_slice(&self.0);
-    }
-    #[inline(always)]
-    unsafe fn store_part(self, s: &mut [f64], n: usize) {
-        s[..n].copy_from_slice(&self.0[..n]);
-    }
-    #[inline(always)]
-    unsafe fn add(self, o: Self) -> Self {
-        self.zip(o, |a, b| a + b)
-    }
-    #[inline(always)]
-    unsafe fn sub(self, o: Self) -> Self {
-        self.zip(o, |a, b| a - b)
-    }
-    #[inline(always)]
-    unsafe fn mul(self, o: Self) -> Self {
-        self.zip(o, |a, b| a * b)
-    }
-    #[inline(always)]
-    unsafe fn select_nonzero(d: Self, new: Self, old: Self) -> Self {
-        Self(std::array::from_fn(|i| {
-            if d.0[i] != 0.0 {
-                new.0[i]
-            } else {
-                old.0[i]
-            }
-        }))
-    }
-}
-
 /// `z[j] = Σₖ wt[k·stride + j]·x[k] (+ b[j])`, lanes over outputs, up to
 /// [`BLOCK`] vectors per pass over `x`.
 ///
 /// # Safety
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
-unsafe fn forward_cols<L: Lanes>(
+unsafe fn forward_cols<L: Lanes<Elem = f64>>(
     wt: &[f64],
     stride: usize,
     x: &[f64],
@@ -625,7 +534,7 @@ unsafe fn forward_cols<L: Lanes>(
 /// # Safety
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
-unsafe fn forward_block<L: Lanes, const V: usize>(
+unsafe fn forward_block<L: Lanes<Elem = f64>, const V: usize>(
     wt: &[f64],
     stride: usize,
     x: &[f64],
@@ -659,7 +568,7 @@ unsafe fn forward_block<L: Lanes, const V: usize>(
 /// # Safety
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
-unsafe fn cols_step<L: Lanes>(
+unsafe fn cols_step<L: StepLanes>(
     wt: &mut [f64],
     stride: usize,
     x: &[f64],
@@ -688,7 +597,7 @@ unsafe fn cols_step<L: Lanes>(
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn cols_block<L: Lanes, const V: usize>(
+unsafe fn cols_block<L: StepLanes, const V: usize>(
     wt: &mut [f64],
     stride: usize,
     x: &[f64],
@@ -730,7 +639,7 @@ unsafe fn cols_block<L: Lanes, const V: usize>(
 /// # Safety
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
-unsafe fn rows_step<L: Lanes>(
+unsafe fn rows_step<L: StepLanes>(
     w: &mut [f64],
     stride: usize,
     x: &[f64],
@@ -760,7 +669,7 @@ unsafe fn rows_step<L: Lanes>(
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn rows_block<L: Lanes, const V: usize>(
+unsafe fn rows_block<L: StepLanes, const V: usize>(
     w: &mut [f64],
     stride: usize,
     x: &[f64],
@@ -808,7 +717,7 @@ unsafe fn rows_block<L: Lanes, const V: usize>(
 /// # Safety
 /// The CPU must support `L`'s instructions.
 #[inline(always)]
-unsafe fn bias_step<L: Lanes>(b: &mut [f64], d: &[f64], lr: f64, mut tap: Option<&mut [f64]>) {
+unsafe fn bias_step<L: StepLanes>(b: &mut [f64], d: &[f64], lr: f64, mut tap: Option<&mut [f64]>) {
     let (zero, lrv) = (L::zero(), L::splat(lr));
     for j in (0..d.len()).step_by(L::N) {
         let dv = L::load_part(&d[j..], (d.len() - j).min(L::N));
@@ -822,136 +731,25 @@ unsafe fn bias_step<L: Lanes>(b: &mut [f64], d: &[f64], lr: f64, mut tap: Option
     }
 }
 
-/// The AVX-512F and AVX2 lanes, and the `#[target_feature]` entry points
-/// the generic kernels are inlined into.
+/// The `#[target_feature]` entry points the generic kernels are inlined
+/// into.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Lanes, StepLayer};
-    use std::arch::x86_64::*;
-
-    /// Eight `f64` lanes in one AVX-512F register.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx512(__m512d);
-
-    /// The mask of the first `n ≤ 8` lanes.
-    #[inline(always)]
-    fn mask8(n: usize) -> __mmask8 {
-        (0xFFu16 >> (8 - n)) as __mmask8
-    }
-
-    impl Lanes for Avx512 {
-        const N: usize = 8;
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(_mm512_setzero_pd())
-        }
-        #[inline(always)]
-        unsafe fn splat(x: f64) -> Self {
-            Self(_mm512_set1_pd(x))
-        }
-        #[inline(always)]
-        unsafe fn load(s: &[f64]) -> Self {
-            Self(_mm512_loadu_pd(s[..8].as_ptr()))
-        }
-        #[inline(always)]
-        unsafe fn load_part(s: &[f64], n: usize) -> Self {
-            Self(_mm512_maskz_loadu_pd(mask8(n), s[..n].as_ptr()))
-        }
-        #[inline(always)]
-        unsafe fn store(self, s: &mut [f64]) {
-            _mm512_storeu_pd(s[..8].as_mut_ptr(), self.0)
-        }
-        #[inline(always)]
-        unsafe fn store_part(self, s: &mut [f64], n: usize) {
-            _mm512_mask_storeu_pd(s[..n].as_mut_ptr(), mask8(n), self.0)
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            Self(_mm512_add_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            Self(_mm512_sub_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            Self(_mm512_mul_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn select_nonzero(d: Self, new: Self, old: Self) -> Self {
-            let live = _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(d.0, _mm512_setzero_pd());
-            Self(_mm512_mask_blend_pd(live, old.0, new.0))
-        }
-    }
-
-    /// Four `f64` lanes in one AVX2 register.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx2(__m256d);
-
-    /// The load/store mask of the first `n ≤ 4` lanes: the sign bit of
-    /// each 64-bit lane enables it.
-    #[inline(always)]
-    unsafe fn mask4(n: usize) -> __m256i {
-        _mm256_cmpgt_epi64(_mm256_set1_epi64x(n as i64), _mm256_setr_epi64x(0, 1, 2, 3))
-    }
-
-    impl Lanes for Avx2 {
-        const N: usize = 4;
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            Self(_mm256_setzero_pd())
-        }
-        #[inline(always)]
-        unsafe fn splat(x: f64) -> Self {
-            Self(_mm256_set1_pd(x))
-        }
-        #[inline(always)]
-        unsafe fn load(s: &[f64]) -> Self {
-            Self(_mm256_loadu_pd(s[..4].as_ptr()))
-        }
-        #[inline(always)]
-        unsafe fn load_part(s: &[f64], n: usize) -> Self {
-            Self(_mm256_maskload_pd(s[..n].as_ptr(), mask4(n)))
-        }
-        #[inline(always)]
-        unsafe fn store(self, s: &mut [f64]) {
-            _mm256_storeu_pd(s[..4].as_mut_ptr(), self.0)
-        }
-        #[inline(always)]
-        unsafe fn store_part(self, s: &mut [f64], n: usize) {
-            _mm256_maskstore_pd(s[..n].as_mut_ptr(), mask4(n), self.0)
-        }
-        #[inline(always)]
-        unsafe fn add(self, o: Self) -> Self {
-            Self(_mm256_add_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn sub(self, o: Self) -> Self {
-            Self(_mm256_sub_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn mul(self, o: Self) -> Self {
-            Self(_mm256_mul_pd(self.0, o.0))
-        }
-        #[inline(always)]
-        unsafe fn select_nonzero(d: Self, new: Self, old: Self) -> Self {
-            let live = _mm256_cmp_pd::<_CMP_NEQ_UQ>(d.0, _mm256_setzero_pd());
-            Self(_mm256_blendv_pd(old.0, new.0, live))
-        }
-    }
+    use super::StepLayer;
+    use crate::lanes::{Avx2F64, Avx512F64};
 
     /// # Safety
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn forward_avx512(layer: &StepLayer, x: &[f64], z: &mut [f64]) {
-        layer.forward_on::<Avx512>(x, z)
+        layer.forward_on::<Avx512F64>(x, z)
     }
 
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn forward_avx2(layer: &StepLayer, x: &[f64], z: &mut [f64]) {
-        layer.forward_on::<Avx2>(x, z)
+        layer.forward_on::<Avx2F64>(x, z)
     }
 
     /// # Safety
@@ -964,7 +762,7 @@ mod x86 {
         lr: f64,
         dx: Option<&mut [f64]>,
     ) {
-        layer.step_on::<Avx512>(x, d, lr, dx)
+        layer.step_on::<Avx512F64>(x, d, lr, dx)
     }
 
     /// # Safety
@@ -977,6 +775,6 @@ mod x86 {
         lr: f64,
         dx: Option<&mut [f64]>,
     ) {
-        layer.step_on::<Avx2>(x, d, lr, dx)
+        layer.step_on::<Avx2F64>(x, d, lr, dx)
     }
 }
