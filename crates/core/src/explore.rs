@@ -10,12 +10,12 @@
 //! optimizer (§VII-B).
 
 use crate::classifier::{ClassifierConfig, Example, UisClassifier};
-use crate::config::LteConfig;
+use crate::config::{LteConfig, RefineConfig};
 use crate::context::SubspaceContext;
 use crate::feature::{expansion_degree, uis_feature_vector};
 use crate::meta_learner::MetaLearner;
 use crate::oracle::SubspaceOracle;
-use crate::refine::build_subregions;
+use crate::refine::{build_subregions, AnchorMasks};
 use crate::scorer::{ScoreRequest, Scorer};
 use lte_data::rng::seeded;
 use rand::Rng;
@@ -126,16 +126,19 @@ pub fn prepare_round(
             c
         }
         Variant::Meta | Variant::MetaStar => {
+            // `MetaLearner::adapt_weighted` without the θR gradient it
+            // keeps for meta-training's memory write.
             let learner = learner.expect("meta variants require a trained meta-learner");
-            learner
-                .adapt_weighted(
-                    &v_r,
-                    &examples,
-                    cfg.online.adapt_steps,
-                    cfg.online.lr,
-                    pos_weight,
-                )
-                .classifier
+            let (mut c, _) = learner.initialize(&v_r);
+            c.train_epochs(
+                &v_r,
+                &examples,
+                cfg.online.adapt_steps,
+                cfg.online.lr,
+                pos_weight,
+                None,
+            );
+            c
         }
     };
     let prep_seconds = start.elapsed().as_secs_f64();
@@ -194,15 +197,76 @@ pub fn finish_round(
     variant: Variant,
     score_seconds: f64,
 ) -> ExploreOutcome {
+    let revision = Revision::PerRow(&cfg.refine);
+    finish(
+        ctx,
+        prepared,
+        eval_rows,
+        revision,
+        scores,
+        variant,
+        score_seconds,
+    )
+}
+
+/// [`finish_round`] revising through `masks`, a store of `Meta*`'s anchor
+/// masks over `eval_rows` (see [`AnchorMasks`]) that many rounds share.
+/// The outcome is bit-identical to [`finish_round`]'s with the
+/// configuration the masks were made with.
+pub fn finish_round_with_masks(
+    ctx: &SubspaceContext,
+    prepared: PreparedRound,
+    eval_rows: &[Vec<f64>],
+    masks: &AnchorMasks,
+    scores: Vec<f64>,
+    variant: Variant,
+    score_seconds: f64,
+) -> ExploreOutcome {
+    let revision = Revision::Masks(masks);
+    finish(
+        ctx,
+        prepared,
+        eval_rows,
+        revision,
+        scores,
+        variant,
+        score_seconds,
+    )
+}
+
+/// How a `Meta*` round is revised: each row against the subregions built
+/// for it, or through a pool's shared anchor masks.
+enum Revision<'a> {
+    PerRow(&'a RefineConfig),
+    Masks(&'a AnchorMasks),
+}
+
+/// The body of [`finish_round`] and [`finish_round_with_masks`].
+fn finish(
+    ctx: &SubspaceContext,
+    prepared: PreparedRound,
+    eval_rows: &[Vec<f64>],
+    revision: Revision<'_>,
+    scores: Vec<f64>,
+    variant: Variant,
+    score_seconds: f64,
+) -> ExploreOutcome {
     assert_eq!(scores.len(), eval_rows.len(), "one score per pool row");
     let start = Instant::now();
     let mut predictions: Vec<bool> = scores.iter().map(|&logit| logit > 0.0).collect();
 
     // (6) Few-shot optimizer for Meta*.
     if variant == Variant::MetaStar {
-        let regions = build_subregions(ctx, &prepared.cs_labels, &cfg.refine);
-        for (row, pred) in eval_rows.iter().zip(predictions.iter_mut()) {
-            *pred = regions.revise(row, *pred);
+        match revision {
+            Revision::PerRow(refine) => {
+                let regions = build_subregions(ctx, &prepared.cs_labels, refine);
+                for (row, pred) in eval_rows.iter().zip(predictions.iter_mut()) {
+                    *pred = regions.revise(row, *pred);
+                }
+            }
+            Revision::Masks(masks) => {
+                masks.revise(ctx, eval_rows, &prepared.cs_labels, &mut predictions);
+            }
         }
     }
     let online_seconds = prepared.prep_seconds + score_seconds + start.elapsed().as_secs_f64();
@@ -391,5 +455,63 @@ mod tests {
         assert_eq!(Variant::Basic.name(), "Basic");
         assert_eq!(Variant::Meta.name(), "Meta");
         assert_eq!(Variant::MetaStar.name(), "Meta*");
+    }
+
+    /// Raw bit patterns of every classifier parameter, `Mcp` last.
+    fn classifier_bits(c: &UisClassifier) -> Vec<u64> {
+        let mut flat = c.r_block.params();
+        flat.extend(c.t_block.params());
+        flat.extend(c.clf_block.params());
+        if let Some(mcp) = &c.conversion {
+            flat.extend_from_slice(mcp.data());
+        }
+        flat.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn prepare_round_adapts_as_adapt_weighted_does() {
+        let table = generate_sdss(3000, 0);
+        let mut cfg = LteConfig::reduced();
+        let ctx = SubspaceContext::build(
+            &table,
+            Subspace::new(vec![0, 1]),
+            &cfg.task,
+            &cfg.encoder,
+            21,
+        );
+        for use_memories in [true, false] {
+            cfg.train.use_memories = use_memories;
+            let learner = MetaLearner::new(
+                ctx.cu().len(),
+                ctx.feature_width(),
+                &cfg.net,
+                cfg.train.clone(),
+                23,
+            );
+            for seed in 0..4 {
+                let uis = generate_uis(ctx.cu(), ctx.pu(), cfg.task.mode, &mut seeded(40 + seed));
+                let oracle = RegionOracle::new(uis);
+                let prepared =
+                    prepare_round(&ctx, Some(&learner), &oracle, &cfg, Variant::MetaStar, seed);
+                let (_, examples, v_r) = initial_support(&ctx, &oracle, &cfg, &mut seeded(seed));
+                let adapted = learner.adapt_weighted(
+                    &v_r,
+                    &examples,
+                    cfg.online.adapt_steps,
+                    cfg.online.lr,
+                    UisClassifier::balance_weight(&examples),
+                );
+                assert_eq!(
+                    adapted.classifier.conversion.is_some(),
+                    use_memories,
+                    "Mcp exists iff memories do"
+                );
+                assert_eq!(
+                    classifier_bits(&prepared.classifier),
+                    classifier_bits(&adapted.classifier),
+                    "memories {use_memories}, seed {seed}"
+                );
+            }
+        }
     }
 }

@@ -166,6 +166,33 @@ impl MetaLearner {
         rho: f64,
         pos_weight: f64,
     ) -> Adapted {
+        let (mut c, attention) = self.initialize(v_r);
+
+        // Eq. 12: local SGD on the support set (Mcp updated by backprop too),
+        // summing every step's θR gradient for the memory write (Eq. 15).
+        let mut grad_r_acc = vec![0.0; self.phi_r.len()];
+        let support_loss =
+            c.train_epochs(v_r, support, steps, rho, pos_weight, Some(&mut grad_r_acc));
+        let n_grads = steps * support.len();
+        if n_grads > 0 {
+            let inv = 1.0 / n_grads as f64;
+            for g in grad_r_acc.iter_mut() {
+                *g *= inv;
+            }
+        }
+        Adapted {
+            classifier: c,
+            attention,
+            avg_grad_r: grad_r_acc,
+            support_loss,
+        }
+    }
+
+    /// The task's classifier before its local steps (Eqs. 6, 10, 11), and
+    /// the attention `aR` over memory modes when memories are active:
+    /// `θR ⇐ φR − σ·ωR` and the task-wise `Mcp` read from the memories, the
+    /// other blocks at their learned initialization.
+    pub(crate) fn initialize(&self, v_r: &[f64]) -> (UisClassifier, Option<Vec<f64>>) {
         let mut c = self.host.clone();
         let attention = match &self.memories {
             Some(mem) => {
@@ -189,25 +216,7 @@ impl MetaLearner {
         // Eq. 11: plain MAML initialization for the other blocks.
         c.t_block.read_params(&self.phi_t);
         c.clf_block.read_params(&self.phi_clf);
-
-        // Eq. 12: local SGD on the support set (Mcp updated by backprop too),
-        // summing every step's θR gradient for the memory write (Eq. 15).
-        let mut grad_r_acc = vec![0.0; self.phi_r.len()];
-        let support_loss =
-            c.train_epochs(v_r, support, steps, rho, pos_weight, Some(&mut grad_r_acc));
-        let n_grads = steps * support.len();
-        if n_grads > 0 {
-            let inv = 1.0 / n_grads as f64;
-            for g in grad_r_acc.iter_mut() {
-                *g *= inv;
-            }
-        }
-        Adapted {
-            classifier: c,
-            attention,
-            avg_grad_r: grad_r_acc,
-            support_loss,
-        }
+        (c, attention)
     }
 
     /// Algorithm 2: full meta-training over a task set.

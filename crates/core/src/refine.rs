@@ -16,11 +16,18 @@
 //!
 //! The optimizer depends entirely on the labelled initial tuples — it
 //! cannot run standalone (§VIII-A note on Meta*).
+//!
+//! Each `Cs` anchor's two hulls depend on the subspace context and the
+//! anchor alone, not on the session, so a pool served to many sessions can
+//! test its rows against them once: [`AnchorMasks`] keeps that membership
+//! as row bitsets and revises a round by ORing its positive anchors' bits,
+//! bit-identical to [`Subregions::revise`] row by row.
 
 use crate::config::RefineConfig;
 use crate::context::SubspaceContext;
 use crate::uis::hull_region;
-use lte_geom::RegionUnion;
+use lte_geom::{Region, RegionUnion};
+use std::sync::OnceLock;
 
 /// The outer/inner circumscribed regions built from positive anchors.
 #[derive(Debug, Clone)]
@@ -103,9 +110,7 @@ pub fn build_subregions_with_anchors(
         ctx.cs().len(),
         "one label per Cs center required"
     );
-    let ku = ctx.cu().len();
-    let nsup = ((ku as f64 * cfg.nsup_frac).round() as usize).clamp(1, ku);
-    let nsub = ((ku as f64 * cfg.nsub_frac).round() as usize).clamp(1, ku);
+    let (nsup, nsub) = expansions(ctx, cfg);
 
     let mut outer = RegionUnion::empty();
     let mut inner = RegionUnion::empty();
@@ -113,14 +118,141 @@ pub fn build_subregions_with_anchors(
         if !positive {
             continue;
         }
-        outer.push(hull_region(&anchor_neighbourhood(ctx, i, nsup)));
-        inner.push(hull_region(&anchor_neighbourhood(ctx, i, nsub)));
+        let (o, n) = anchor_hulls(ctx, i, nsup, nsub);
+        outer.push(o);
+        inner.push(n);
     }
     for anchor in extra_positive_anchors {
         outer.push(hull_region(&point_neighbourhood(ctx, anchor, nsup)));
         inner.push(hull_region(&point_neighbourhood(ctx, anchor, nsub)));
     }
     Subregions { outer, inner }
+}
+
+/// Meta*'s hull membership over one subspace's projected pool: for every
+/// `Cs` anchor, which rows its outer (`Nsup`) hull contains and which rows
+/// its inner (`Nsub`) hull contains, one bit per row.
+///
+/// An anchor's hulls depend only on the context, the anchor and the
+/// [`RefineConfig`], so one store serves every session that revises over
+/// the same pool under the same pipeline. Each anchor's bitsets are built
+/// the first time a label set marks it positive ([`OnceLock`]), so a pool
+/// that serves one session builds only that session's positive anchors.
+/// A built anchor costs `2 · ⌈rows/64⌉` words.
+#[derive(Debug)]
+pub struct AnchorMasks {
+    rows: usize,
+    nsup: usize,
+    nsub: usize,
+    anchors: Vec<OnceLock<AnchorMask>>,
+}
+
+/// One anchor's hull membership: bit `r % 64` of word `r / 64` is row `r`.
+#[derive(Debug)]
+struct AnchorMask {
+    outer: Vec<u64>,
+    inner: Vec<u64>,
+}
+
+impl AnchorMasks {
+    /// An empty store for a pool of `rows` projected rows of `ctx`'s
+    /// subspace, expanding anchors as `cfg` says.
+    pub fn new(ctx: &SubspaceContext, rows: usize, cfg: &RefineConfig) -> Self {
+        let (nsup, nsub) = expansions(ctx, cfg);
+        Self {
+            rows,
+            nsup,
+            nsub,
+            anchors: ctx.cs().iter().map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Revise `predictions` over `rows` as [`Subregions::revise`] does with
+    /// the subregions of `cs_labels`, row for row: a row outside every
+    /// positive anchor's outer hull turns negative, a row inside an inner
+    /// hull turns positive. With no positive label the predictions pass
+    /// through unchanged. `ctx` and `rows` must be the ones the store was
+    /// made for; a positive anchor whose bitsets are missing is built here.
+    ///
+    /// # Panics
+    /// Panics when `cs_labels` has not one label per `Cs` center, or
+    /// `rows` or `predictions` differ in length from the store's pool.
+    pub fn revise(
+        &self,
+        ctx: &SubspaceContext,
+        rows: &[Vec<f64>],
+        cs_labels: &[bool],
+        predictions: &mut [bool],
+    ) {
+        assert_eq!(
+            cs_labels.len(),
+            self.anchors.len(),
+            "one label per Cs center required"
+        );
+        assert_eq!(rows.len(), self.rows, "rows are not the masks' pool");
+        assert_eq!(predictions.len(), self.rows, "one prediction per pool row");
+        let positive: Vec<&AnchorMask> = cs_labels
+            .iter()
+            .zip(&self.anchors)
+            .enumerate()
+            .filter(|(_, (&label, _))| label)
+            .map(|(i, (_, mask))| mask.get_or_init(|| self.build(ctx, rows, i)))
+            .collect();
+        if positive.is_empty() {
+            return;
+        }
+        for (w, chunk) in predictions.chunks_mut(64).enumerate() {
+            let (outer, inner) = positive
+                .iter()
+                .fold((0, 0), |(o, n), m| (o | m.outer[w], n | m.inner[w]));
+            for (bit, pred) in chunk.iter_mut().enumerate() {
+                let (o, n) = ((outer >> bit) & 1 != 0, (inner >> bit) & 1 != 0);
+                *pred = o & (n | *pred);
+            }
+        }
+    }
+
+    /// Test every row against anchor `anchor`'s two hulls.
+    fn build(&self, ctx: &SubspaceContext, rows: &[Vec<f64>], anchor: usize) -> AnchorMask {
+        let (outer, inner) = anchor_hulls(ctx, anchor, self.nsup, self.nsub);
+        AnchorMask {
+            outer: row_bits(&outer, rows),
+            inner: row_bits(&inner, rows),
+        }
+    }
+}
+
+/// Which of `rows` `region` contains, 64 rows to a word.
+fn row_bits(region: &Region, rows: &[Vec<f64>]) -> Vec<u64> {
+    rows.chunks(64)
+        .map(|chunk| {
+            chunk.iter().enumerate().fold(0, |word, (bit, row)| {
+                word | (u64::from(region.contains(row)) << bit)
+            })
+        })
+        .collect()
+}
+
+/// The outer and inner expansion sizes `(Nsup, Nsub)`: the configured
+/// fractions of `ku`, at least one center and at most all of them.
+fn expansions(ctx: &SubspaceContext, cfg: &RefineConfig) -> (usize, usize) {
+    let ku = ctx.cu().len();
+    let n = |frac: f64| ((ku as f64 * frac).round() as usize).clamp(1, ku);
+    (n(cfg.nsup_frac), n(cfg.nsub_frac))
+}
+
+/// `Cs` anchor `anchor`'s outer and inner hulls: over the anchor and its
+/// `nsup`, respectively `nsub`, nearest `Cu` centers.
+fn anchor_hulls(
+    ctx: &SubspaceContext,
+    anchor: usize,
+    nsup: usize,
+    nsub: usize,
+) -> (Region, Region) {
+    (
+        hull_region(&anchor_neighbourhood(ctx, anchor, nsup)),
+        hull_region(&anchor_neighbourhood(ctx, anchor, nsub)),
+    )
 }
 
 /// The anchor `Cs` center plus its `n` nearest `Cu` centers (via `Ps`).
@@ -157,17 +289,74 @@ mod tests {
     use crate::config::LteConfig;
     use lte_data::generator::generate_sdss;
     use lte_data::subspace::Subspace;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Barrier;
 
     fn ctx() -> SubspaceContext {
+        ctx_over(&[0, 1])
+    }
+
+    fn ctx_over(attrs: &[usize]) -> SubspaceContext {
         let table = generate_sdss(3000, 0);
         let cfg = LteConfig::reduced();
         SubspaceContext::build(
             &table,
-            Subspace::new(vec![0, 1]),
+            Subspace::new(attrs.to_vec()),
             &cfg.task,
             &cfg.encoder,
             3,
         )
+    }
+
+    /// A projected pool of `n` rows: the `Cs` and `Cu` centers (hull
+    /// vertices, where `EPS` decides), rows far outside the data, then
+    /// the table's rows, cycled.
+    fn pool(ctx: &SubspaceContext, attrs: &[usize], n: usize) -> Vec<Vec<f64>> {
+        let dim = attrs.len();
+        let table = generate_sdss(3000, 1);
+        let sub = Subspace::new(attrs.to_vec());
+        let mut base: Vec<Vec<f64>> = ctx.cs().iter().chain(ctx.cu()).cloned().collect();
+        base.extend([vec![1e9; dim], vec![-1e9; dim], vec![f64::MAX; dim]]);
+        base.extend((0..table.n_rows()).map(|i| sub.project_row(&table.row(i).unwrap())));
+        base.into_iter().cycle().take(n).collect()
+    }
+
+    /// `revise` through `masks` against `build_subregions` +
+    /// `Subregions::revise` row by row, from random classifier verdicts.
+    fn assert_masks_match(
+        ctx: &SubspaceContext,
+        rows: &[Vec<f64>],
+        masks: &AnchorMasks,
+        labels: &[bool],
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let before: Vec<bool> = rows.iter().map(|_| rng.random_bool(0.5)).collect();
+        let regions = build_subregions(ctx, labels, &RefineConfig::default());
+        let mut got = before.clone();
+        masks.revise(ctx, rows, labels, &mut got);
+        for (r, (row, &pred)) in rows.iter().zip(&before).enumerate() {
+            assert_eq!(
+                got[r],
+                regions.revise(row, pred),
+                "row {r} {row:?} (labels {labels:?})"
+            );
+        }
+    }
+
+    /// No, one, some and all anchors positive.
+    fn label_sets(ks: usize, rng: &mut StdRng) -> Vec<Vec<bool>> {
+        let mut sets = vec![vec![false; ks], vec![true; ks]];
+        for anchor in [0, ks / 2, ks - 1] {
+            let mut one = vec![false; ks];
+            one[anchor] = true;
+            sets.push(one);
+        }
+        for _ in 0..8 {
+            sets.push((0..ks).map(|_| rng.random_bool(0.3)).collect());
+        }
+        sets
     }
 
     fn labels_with_one_positive(ctx: &SubspaceContext, idx: usize) -> Vec<bool> {
@@ -283,5 +472,53 @@ mod tests {
         many[..half].fill(true);
         let regions = build_subregions(&c, &many, &RefineConfig::default());
         assert!(regions.three_set_bound(c.sample_rows()) > 0.0);
+    }
+
+    #[test]
+    fn masks_match_per_row_revision_over_1d_and_2d_pools() {
+        for attrs in [vec![0], vec![0, 1]] {
+            let c = ctx_over(&attrs);
+            let mut rng = StdRng::seed_from_u64(attrs.len() as u64);
+            let sets = label_sets(c.cs().len(), &mut rng);
+            for n in [0, 1, 63, 64, 65, 1000, 1300] {
+                let rows = pool(&c, &attrs, n);
+                // One store for every label set: later sets read the
+                // anchors earlier ones built.
+                let masks = AnchorMasks::new(&c, n, &RefineConfig::default());
+                for (k, labels) in sets.iter().enumerate() {
+                    assert_masks_match(&c, &rows, &masks, labels, k as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_built_by_racing_threads_match_per_row_revision() {
+        let c = ctx();
+        let rows = pool(&c, &[0, 1], 1500);
+        let masks = AnchorMasks::new(&c, rows.len(), &RefineConfig::default());
+        let sets = label_sets(c.cs().len(), &mut StdRng::seed_from_u64(9));
+        let start = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (c, rows, masks, sets, start) = (&c, &rows, &masks, &sets, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for k in (t..sets.len()).step_by(4).chain(0..sets.len()) {
+                        assert_masks_match(c, rows, masks, &sets[k], (t * 100 + k) as u64);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rows are not the masks' pool")]
+    fn masks_refuse_another_pool() {
+        let c = ctx();
+        let masks = AnchorMasks::new(&c, 10, &RefineConfig::default());
+        let mut labels = vec![false; c.cs().len()];
+        labels[0] = true;
+        masks.revise(&c, &pool(&c, &[0, 1], 11), &labels, &mut [false; 11]);
     }
 }

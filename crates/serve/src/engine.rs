@@ -51,7 +51,8 @@ pub struct SessionOutcome {
 /// Every call runs its sessions on one [`ScoringService`] whose one shard
 /// is this pipeline over the call's pool. The engine keeps that service
 /// between calls: a call over the same rows, bit for bit, reuses the
-/// shard's encoded pool, and a call over other rows replaces the service.
+/// shard's encoded pool and its `Meta*` anchor masks, and a call over
+/// other rows replaces the service.
 /// Calls on one engine take turns; a clone starts without a service.
 #[derive(Debug)]
 pub struct SessionEngine {

@@ -12,9 +12,10 @@
 //!    ([`crate::admission::AdmissionQueue`]); submission itself never
 //!    blocks a worker.
 //! 2. **refresh** — load each in-use shard's [`SwapCell`] **once** and,
-//!    when the epoch moved, rebuild the shard's cached [`EncodedPool`].
-//!    Loading once per tick is the no-torn-read guarantee: every round of
-//!    every session sees exactly one `(pipeline, epoch)` pair.
+//!    when the epoch moved, rebuild the shard's cached [`EncodedPool`] and
+//!    start its `Meta*` anchor masks empty ([`AnchorMasks`]). Loading once
+//!    per tick is the no-torn-read guarantee: every round of every session
+//!    sees exactly one `(pipeline, epoch)` pair.
 //! 3. **prepare** — run the label-and-adapt half of one round per active
 //!    session ([`lte_core::explore::prepare_round`]) across the worker
 //!    pool. Labels come from the session's analyst
@@ -24,10 +25,14 @@
 //!    [`score_fused_with`] call. Scores are bit-identical to the
 //!    per-session calls (row independence), so fusing is invisible to
 //!    outcomes.
-//! 5. **finish** — predictions and `Meta*` revision
-//!    ([`lte_core::explore::finish_round`]), then the round's ground-truth
-//!    mask over the projected pool and its per-subspace F1
-//!    ([`RoundTruth`]) against the truth in force, across the worker pool.
+//! 5. **finish** — predictions and `Meta*` revision through the shard's
+//!    per-epoch anchor masks
+//!    ([`lte_core::explore::finish_round_with_masks`], bit-identical to
+//!    [`lte_core::explore::finish_round`]'s per-row revision; the first job
+//!    that needs an anchor tests the pool against its hulls), then the
+//!    round's ground-truth mask over the projected pool and its
+//!    per-subspace F1 ([`RoundTruth`]) against the truth in force, across
+//!    the worker pool.
 //!    A serial fold files each round into the session's [`UirTally`] and
 //!    lets the analyst start its next round: abandonment, then think time.
 //! 6. **drain** — sessions that run no further round test any mask their
@@ -47,10 +52,13 @@
 use crate::admission::{AdmissionQueue, AdmissionState};
 use crate::engine::SessionRequest;
 use crate::swap::SwapCell;
-use lte_core::explore::{finish_round, prepare_round, ExploreOutcome, PreparedRound, Variant};
+use lte_core::explore::{
+    finish_round_with_masks, prepare_round, ExploreOutcome, PreparedRound, Variant,
+};
 use lte_core::oracle::BehaviorOracle;
 use lte_core::parallel::{default_threads, parallel_map};
 use lte_core::pipeline::{EncodedPool, LtePipeline, RoundTruth, UirOutcome, UirTally};
+use lte_core::refine::AnchorMasks;
 use lte_core::scenario::BehaviorConfig;
 use lte_core::scorer::{score_fused_with, FusedRequest, ScoreRequest};
 use lte_data::rng::derive_seed;
@@ -70,12 +78,15 @@ struct Shard {
 }
 
 /// The encoded pool for one `(shard, pipeline epoch)` — rebuilt only when
-/// the shard's [`SwapCell`] epoch moves.
+/// the shard's [`SwapCell`] epoch moves — and `Meta*`'s anchor masks over
+/// it, one store per subspace, made empty with the pool and filled by the
+/// finish jobs that need them.
 #[derive(Debug)]
 struct ShardCache {
     epoch: u64,
     pipeline: Arc<LtePipeline>,
     pool: EncodedPool,
+    masks: Vec<AnchorMasks>,
 }
 
 /// One session from submission to completion: parked in the admission
@@ -583,10 +594,16 @@ impl ScoringService {
                     "hot-swapped pipeline changed the subspace decomposition"
                 );
                 let pool = pipeline.encode_pool(&shard.eval_rows);
+                let masks = pipeline
+                    .contexts()
+                    .iter()
+                    .map(|ctx| AnchorMasks::new(ctx, pool.rows(), &pipeline.config().refine))
+                    .collect();
                 shard.cache = Some(ShardCache {
                     epoch,
                     pipeline,
                     pool,
+                    masks,
                 });
             }
         }
@@ -661,12 +678,12 @@ impl ScoringService {
                 let cache = shards[s.shard].cache.as_ref().expect("cache refreshed");
                 let pipeline = &cache.pipeline;
                 let proj = cache.pool.proj(s.round);
-                let outcome = finish_round(
+                let outcome = finish_round_with_masks(
                     &pipeline.contexts()[s.round],
                     p,
                     proj,
+                    &cache.masks[s.round],
                     s_scores,
-                    pipeline.config(),
                     s.variant,
                     share,
                 );

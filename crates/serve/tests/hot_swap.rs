@@ -122,6 +122,57 @@ fn swap_under_64_sessions_has_no_torn_rounds_and_is_deterministic() {
     }
 }
 
+/// A shard's `Meta*` anchor masks belong to the epoch whose pool they were
+/// built over. A wave of `Meta*` sessions completes on `a`, building masks
+/// for its positive anchors; the shard then swaps to `b`, and the same
+/// requests run again. Every second-wave round must be bitwise `b`'s solo
+/// run, so no mask of `a`'s hulls may survive the refresh.
+#[test]
+fn anchor_masks_do_not_outlive_their_epoch() {
+    let a = train(41);
+    let b = train(42);
+    let eval_rows = pool();
+    let engine = SessionEngine::with_workers(Arc::clone(&a), 1);
+    let requests =
+        engine.simulate_requests(16, UisMode::new(1, 10), 0.2, 0.9, Variant::MetaStar, 77);
+
+    let mut service = ScoringService::builder().workers(2).build();
+    let shard = service.add_shard("sdss", Arc::clone(&a), eval_rows.clone());
+    let wave = |service: &mut ScoringService| {
+        for req in &requests {
+            service.submit("sdss", req.clone());
+        }
+        service.run_until_idle();
+        let mut done = service.take_completed();
+        done.sort_by_key(|o| o.id);
+        done
+    };
+    let first = wave(&mut service);
+    assert!(first.iter().all(|o| o.epochs == [0, 0]));
+    assert_eq!(service.swap_handle(shard).swap(Arc::clone(&b)), Ok(1));
+    let second = wave(&mut service);
+
+    for (req, got) in requests.iter().zip(&second) {
+        assert_eq!(req.id, got.id);
+        assert_eq!(got.epochs, vec![1, 1]);
+        let solo = b.explore(&req.truth, &eval_rows, req.variant, req.seed);
+        assert_eq!(solo.confusion, got.outcome.confusion);
+        for (round, (x, y)) in solo
+            .subspace_outcomes
+            .iter()
+            .zip(&got.outcome.subspace_outcomes)
+            .enumerate()
+        {
+            assert_eq!(
+                round_bytes(x),
+                round_bytes(y),
+                "session {} round {round} revised with another epoch's masks",
+                req.id
+            );
+        }
+    }
+}
+
 /// A swapper thread racing the tick loop: epoch pickup is then
 /// timing-dependent, but the invariants are not — every round still gets
 /// exactly one epoch, epochs never decrease within a session, and each
